@@ -24,15 +24,16 @@ fn adversarial(c: &mut Criterion) {
         for defended in [false, true] {
             // Print the sweep row once, outside the timing loop.
             let result = run_adversarial_stream(family, intensity, defended);
+            let stats = result.stats();
             println!(
                 "adversarial: family={:<10} defended={defended:<5} ras={:.4} violations={} \
                  quarantines={} reestimations={} margin_fallbacks={}",
                 family.name(),
-                result.ras.normalized(),
-                result.stats.fairness_violations,
-                result.quarantines,
-                result.reestimations,
-                result.margin_fallbacks
+                result.ras().normalized(),
+                stats.fairness_violations,
+                stats.quarantines,
+                stats.reestimations,
+                stats.margin_fallbacks
             );
             let id = BenchmarkId::new(
                 family.name(),

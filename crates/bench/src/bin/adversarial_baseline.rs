@@ -20,7 +20,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use tommy_bench::run_adversarial_stream;
-use tommy_sim::runner::OnlineStreamResult;
+use tommy_core::sequencer::OnlineSequencer;
+use tommy_sim::runner::StreamResult;
 use tommy_workload::AttackFamily;
 
 const INTENSITIES: [f64; 2] = [0.25, 0.6];
@@ -29,7 +30,9 @@ const TARGET_SECONDS: f64 = 0.4;
 
 /// Repeat `f` until `TARGET_SECONDS` of wall clock elapse (at least once);
 /// return seconds per call alongside the last result.
-fn time_per_call<F: FnMut() -> OnlineStreamResult>(mut f: F) -> (f64, OnlineStreamResult) {
+fn time_per_call<F: FnMut() -> StreamResult<OnlineSequencer>>(
+    mut f: F,
+) -> (f64, StreamResult<OnlineSequencer>) {
     f(); // one untimed warm-up call
     let start = Instant::now();
     let mut calls = 0u64;
@@ -79,8 +82,9 @@ fn main() {
     json.push_str("  \"results\": [\n");
     let n = rows.len();
     for (i, (label, intensity, defended, rate, result)) in rows.into_iter().enumerate() {
+        let stats = result.stats();
         let detected =
-            result.quarantines > 0 || result.reestimations > 0 || result.margin_fallbacks > 0;
+            stats.quarantines > 0 || stats.reestimations > 0 || stats.margin_fallbacks > 0;
         let _ = write!(
             json,
             "    {{\"family\": \"{label}\", \"intensity\": {intensity}, \
@@ -90,14 +94,14 @@ fn main() {
              \"margin_fallbacks\": {}, \"collusion_checks\": {}, \
              \"collusion_quarantines\": {}, \"peak_collusion_score\": {:.4}, \
              \"detected\": {detected}}}",
-            result.ras.normalized(),
-            result.stats.fairness_violations,
-            result.quarantines,
-            result.reestimations,
-            result.margin_fallbacks,
-            result.stats.collusion_checks,
-            result.stats.collusion_quarantines,
-            result.stats.peak_collusion_score,
+            result.ras().normalized(),
+            stats.fairness_violations,
+            stats.quarantines,
+            stats.reestimations,
+            stats.margin_fallbacks,
+            stats.collusion_checks,
+            stats.collusion_quarantines,
+            stats.peak_collusion_score,
         );
         json.push_str(if i + 1 < n { ",\n" } else { "\n" });
     }

@@ -18,7 +18,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use tommy_bench::{run_fault_cell, FAULT_MESSAGES};
 use tommy_netsim::{FaultFamily, FaultPlan};
-use tommy_sim::faults::FaultStreamResult;
+use tommy_core::sequencer::OnlineSequencer;
+use tommy_sim::runner::StreamResult;
 use tommy_wire::RecoveryPolicy;
 
 const LOSS_RATES: [f64; 3] = [0.0, 0.05, 0.2];
@@ -26,7 +27,9 @@ const TARGET_SECONDS: f64 = 0.4;
 
 /// Repeat `f` until `TARGET_SECONDS` of wall clock elapse (at least once);
 /// return seconds per call alongside the last result.
-fn time_per_call<F: FnMut() -> FaultStreamResult>(mut f: F) -> (f64, FaultStreamResult) {
+fn time_per_call<F: FnMut() -> StreamResult<OnlineSequencer>>(
+    mut f: F,
+) -> (f64, StreamResult<OnlineSequencer>) {
     f(); // one untimed warm-up call
     let start = Instant::now();
     let mut calls = 0u64;
@@ -86,6 +89,7 @@ fn main() {
     json.push_str("  \"results\": [\n");
     let n = rows.len();
     for (i, (loss, reorder, policy, rate, result)) in rows.into_iter().enumerate() {
+        let stats = result.stats();
         let _ = write!(
             json,
             "    {{\"loss\": {loss}, \"reorder\": {reorder}, \"policy\": \"{policy}\", \
@@ -94,17 +98,17 @@ fn main() {
              \"gaps_detected\": {}, \"dupes_dropped\": {}, \"reorders_buffered\": {}, \
              \"retransmit_requests\": {}, \"sequences_skipped\": {}, \
              \"evictions\": {}, \"watermark_stall_ticks\": {}}}",
-            result.ras.normalized(),
-            result.submitted,
-            result.stats.messages_emitted,
-            result.frames_dropped,
-            result.stats.gaps_detected,
-            result.stats.dupes_dropped,
-            result.stats.reorders_buffered,
-            result.stats.retransmit_requests,
-            result.stats.sequences_skipped,
-            result.stats.evictions,
-            result.stats.watermark_stall_ticks,
+            result.ras().normalized(),
+            result.submitted.len(),
+            stats.messages_emitted,
+            result.wire().frames_dropped,
+            stats.gaps_detected,
+            stats.dupes_dropped,
+            stats.reorders_buffered,
+            stats.retransmit_requests,
+            stats.sequences_skipped,
+            stats.evictions,
+            stats.watermark_stall_ticks,
         );
         json.push_str(if i + 1 < n { ",\n" } else { "\n" });
     }

@@ -20,13 +20,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use tommy_bench::{run_parallel_cell, PARALLEL_MESSAGES};
-use tommy_sim::runner::ParallelStreamResult;
+use tommy_core::sequencer::ShardedSequencer;
+use tommy_sim::runner::StreamResult;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 struct Row {
     shards: usize,
-    result: ParallelStreamResult,
+    result: StreamResult<ShardedSequencer>,
     secs: f64,
 }
 
@@ -53,7 +54,7 @@ fn main() {
         }
         let result = result.expect("at least one timed pass");
         assert_eq!(
-            result.stats.messages_emitted, PARALLEL_MESSAGES,
+            result.stats().messages_emitted, PARALLEL_MESSAGES,
             "K = {shards} lost messages"
         );
         rows.push(Row {
@@ -64,7 +65,7 @@ fn main() {
     }
 
     let anchor_rate = PARALLEL_MESSAGES as f64 / rows[0].secs;
-    let anchor_ras = rows[0].result.ras.normalized();
+    let anchor_ras = rows[0].result.ras().normalized();
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"parallel_merge\",\n");
@@ -93,7 +94,9 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let rate = PARALLEL_MESSAGES as f64 / row.secs;
-        let stats = &row.result.stats;
+        let stats = row.result.stats();
+        let ras = row.result.ras().normalized();
+        let cross = row.result.partitioned_ras().cross;
         let _ = write!(
             json,
             "    {{\"shards\": {}, \"shards_used\": {}, \"elapsed_ms\": {:.2}, \
@@ -102,15 +105,15 @@ fn main() {
              \"batches\": {}, \"shard_merges\": {}, \"cross_shard_evals\": {}, \
              \"shard_imbalance\": {}}}",
             row.shards,
-            row.result.shards_used,
+            row.result.engine.shard_count(),
             row.secs * 1e3,
             rate,
             rate / anchor_rate,
-            row.result.ras.normalized(),
-            anchor_ras - row.result.ras.normalized(),
-            row.result.partitioned.cross.normalized(),
-            row.result.partitioned.cross.pairs(),
-            row.result.batches,
+            ras,
+            anchor_ras - ras,
+            cross.normalized(),
+            cross.pairs(),
+            row.result.order.num_batches(),
             stats.shard_merges,
             stats.cross_shard_evals,
             stats.shard_imbalance,

@@ -19,13 +19,11 @@ use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::emission::batch_emission_time;
 use tommy_core::sequencer::online::OnlineSequencer;
+use tommy_core::sequencer::sharded::ShardedSequencer;
 use tommy_core::sequencer::{SequencingCore, SequencingOutcome};
 use tommy_core::tournament::Tournament;
 use tommy_netsim::FaultPlan;
-use tommy_sim::faults::{run_fault_stream, FaultStreamResult};
-use tommy_sim::runner::{
-    run_online_stream, run_parallel_stream, OnlineStreamResult, ParallelStreamResult,
-};
+use tommy_sim::runner::{run_stream, Delivery, StreamResult};
 use tommy_sim::scenario::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_wire::RecoveryPolicy;
@@ -84,10 +82,11 @@ pub fn run_adversarial_stream(
     family: AttackFamily,
     intensity: f64,
     defended: bool,
-) -> OnlineStreamResult {
-    run_online_stream(
+) -> StreamResult<OnlineSequencer> {
+    run_stream(
         &adversarial_scenario(family, intensity, defended),
         ADVERSARIAL_P_SAFE,
+        Delivery::Direct,
     )
 }
 
@@ -113,8 +112,11 @@ pub fn fault_scenario() -> ScenarioConfig {
 /// One fault-sweep cell: stream [`fault_scenario`] through the full wire
 /// path under `plans` and `policy` — the measurement behind
 /// `BENCH_faults.json`.
-pub fn run_fault_cell(plans: &[FaultPlan], policy: RecoveryPolicy) -> FaultStreamResult {
-    run_fault_stream(&fault_scenario(), plans, policy, FAULT_P_SAFE)
+pub fn run_fault_cell(
+    plans: &[FaultPlan],
+    policy: RecoveryPolicy,
+) -> StreamResult<OnlineSequencer> {
+    run_stream(&fault_scenario(), FAULT_P_SAFE, Delivery::Wire { plans, policy })
 }
 
 /// Safe-emission quantile of the parallel-merge sweep (the sim runner
@@ -141,8 +143,12 @@ pub fn parallel_scenario(messages: usize, shards: usize) -> ScenarioConfig {
 /// One parallel-merge cell: stream [`parallel_scenario`] through the
 /// sharded sequencer at [`PARALLEL_P_SAFE`] — the measurement behind
 /// `BENCH_parallel.json` and the `parallel_merge` criterion smoke.
-pub fn run_parallel_cell(messages: usize, shards: usize) -> ParallelStreamResult {
-    run_parallel_stream(&parallel_scenario(messages, shards), PARALLEL_P_SAFE)
+pub fn run_parallel_cell(messages: usize, shards: usize) -> StreamResult<ShardedSequencer> {
+    run_stream(
+        &parallel_scenario(messages, shards),
+        PARALLEL_P_SAFE,
+        Delivery::Direct,
+    )
 }
 
 /// Number of clients used by the streaming precedence benchmarks.
@@ -561,19 +567,23 @@ mod tests {
     #[test]
     fn parallel_cells_split_by_shard_count() {
         let anchor = run_parallel_cell(300, 1);
-        assert_eq!(anchor.shards_used, 1);
-        assert_eq!(anchor.stats.shard_merges, 0, "{:?}", anchor.stats);
-        assert_eq!(anchor.stats.cross_shard_evals, 0, "{:?}", anchor.stats);
-        assert_eq!(anchor.partitioned.cross.pairs(), 0);
-        let single = run_online_stream(&parallel_scenario(300, 1), PARALLEL_P_SAFE);
-        assert_eq!(anchor.ras.score(), single.ras.score());
+        assert_eq!(anchor.engine.shard_count(), 1);
+        assert_eq!(anchor.stats().shard_merges, 0, "{:?}", anchor.stats());
+        assert_eq!(anchor.stats().cross_shard_evals, 0, "{:?}", anchor.stats());
+        assert_eq!(anchor.partitioned_ras().cross.pairs(), 0);
+        let single: StreamResult<OnlineSequencer> = run_stream(
+            &parallel_scenario(300, 1),
+            PARALLEL_P_SAFE,
+            Delivery::Direct,
+        );
+        assert_eq!(anchor.ras().score(), single.ras().score());
 
         let merged = run_parallel_cell(300, 4);
-        assert_eq!(merged.shards_used, 4);
-        assert_eq!(merged.stats.messages_emitted, 300, "{:?}", merged.stats);
-        assert!(merged.stats.shard_merges > 0, "{:?}", merged.stats);
-        assert!(merged.partitioned.cross.pairs() > 0);
-        assert_eq!(merged.partitioned.total().score(), merged.ras.score());
+        assert_eq!(merged.engine.shard_count(), 4);
+        assert_eq!(merged.stats().messages_emitted, 300, "{:?}", merged.stats());
+        assert!(merged.stats().shard_merges > 0, "{:?}", merged.stats());
+        assert!(merged.partitioned_ras().cross.pairs() > 0);
+        assert_eq!(merged.partitioned_ras().total().score(), merged.ras().score());
     }
 
     /// The adversarial sweep harness really exercises the defense: the
@@ -582,48 +592,48 @@ mod tests {
     #[test]
     fn adversarial_harness_engages_the_defense() {
         let honest = run_adversarial_stream(AttackFamily::Misreport, 0.0, true);
-        assert_eq!(honest.quarantines, 0, "honest control must raise no alarms");
-        assert_eq!(honest.reestimations, 0);
-        assert_eq!(honest.margin_fallbacks, 0);
+        assert_eq!(honest.stats().quarantines, 0, "honest control must raise no alarms");
+        assert_eq!(honest.stats().reestimations, 0);
+        assert_eq!(honest.stats().margin_fallbacks, 0);
 
         let undefended = run_adversarial_stream(AttackFamily::Misreport, 0.6, false);
-        assert_eq!(undefended.quarantines, 0, "defense off must stay silent");
+        assert_eq!(undefended.stats().quarantines, 0, "defense off must stay silent");
 
         let defended = run_adversarial_stream(AttackFamily::Misreport, 0.6, true);
-        assert!(defended.quarantines >= 1, "{:?}", defended.stats);
-        assert!(defended.margin_fallbacks > 0, "{:?}", defended.stats);
+        assert!(defended.stats().quarantines >= 1, "{:?}", defended.stats());
+        assert!(defended.stats().margin_fallbacks > 0, "{:?}", defended.stats());
 
         let again = run_adversarial_stream(AttackFamily::Misreport, 0.6, true);
-        assert_eq!(defended.ras.score(), again.ras.score(), "cells must be deterministic");
-        assert_eq!(defended.stats.fairness_violations, again.stats.fairness_violations);
+        assert_eq!(defended.ras().score(), again.ras().score(), "cells must be deterministic");
+        assert_eq!(defended.stats().fairness_violations, again.stats().fairness_violations);
     }
 
     #[test]
     fn adversarial_harness_engages_the_collusion_detector() {
         // The honest control runs the correlation checks but never fires them.
         let honest = run_adversarial_stream(AttackFamily::Misreport, 0.0, true);
-        assert!(honest.stats.collusion_checks > 0, "{:?}", honest.stats);
-        assert_eq!(honest.stats.collusion_quarantines, 0, "{:?}", honest.stats);
+        assert!(honest.stats().collusion_checks > 0, "{:?}", honest.stats());
+        assert_eq!(honest.stats().collusion_quarantines, 0, "{:?}", honest.stats());
 
         // Pad-coordinated colluders at λ = 0.6 keep honest marginals but are
         // caught — and only — by the cross-client correlation detector.
         let defended = run_adversarial_stream(AttackFamily::CorrelatedCollusion, 0.6, true);
-        assert!(defended.stats.collusion_quarantines >= 2, "{:?}", defended.stats);
+        assert!(defended.stats().collusion_quarantines >= 2, "{:?}", defended.stats());
         assert_eq!(
-            defended.quarantines, defended.stats.collusion_quarantines,
+            defended.stats().quarantines, defended.stats().collusion_quarantines,
             "marginal checks must stay blind to the marginal-preserving forgery"
         );
-        assert!(defended.stats.peak_collusion_score > 0.6, "{:?}", defended.stats);
+        assert!(defended.stats().peak_collusion_score > 0.6, "{:?}", defended.stats());
 
         // At λ = 0.25 the pairwise correlation λ(2 − λ)(1 + λ)/(1 + 2λ² − λ³)
         // ≈ 0.49 sits below the detection threshold: a weak colluder evades,
         // with no false alarms.
         let weak = run_adversarial_stream(AttackFamily::CorrelatedCollusion, 0.25, true);
-        assert_eq!(weak.stats.collusion_quarantines, 0, "{:?}", weak.stats);
+        assert_eq!(weak.stats().collusion_quarantines, 0, "{:?}", weak.stats());
 
         let undefended = run_adversarial_stream(AttackFamily::CorrelatedCollusion, 0.6, false);
-        assert_eq!(undefended.stats.collusion_checks, 0, "defense off must stay silent");
-        assert_eq!(undefended.stats.collusion_quarantines, 0);
+        assert_eq!(undefended.stats().collusion_checks, 0, "defense off must stay silent");
+        assert_eq!(undefended.stats().collusion_quarantines, 0);
     }
 
     #[test]

@@ -748,7 +748,12 @@ impl OnlineSequencer {
             return Err(CoreError::DuplicateMessage(message.id));
         }
         self.advance_clock(arrival_time);
-        self.watermarks.observe(message.client, message.timestamp)?;
+        if let Err(e) = self.watermarks.observe(message.client, message.timestamp) {
+            // A rejected submission must not stay tracked, or fresh ids
+            // with bad timestamps would grow the duplicate set forever.
+            self.seen_ids.remove(&message.id);
+            return Err(e);
+        }
         self.note_heard(message.client);
 
         if self.core.config().defense.enabled {
@@ -1415,6 +1420,23 @@ mod tests {
         seq.submit(msg(0, 0, 10.0), 10.0).unwrap();
         let err = seq.submit(msg(1, 0, 5.0), 11.0).unwrap_err();
         assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
+    }
+
+    /// Fresh ids rejected after the duplicate check (here: non-monotone
+    /// timestamps) are not tracked, so a client cannot grow the duplicate
+    /// set with them — and a rejected id stays usable.
+    #[test]
+    fn rejected_fresh_ids_are_not_tracked() {
+        let mut seq = sequencer(&[(0, 1.0)]);
+        seq.submit(msg(0, 0, 100.0), 100.0).unwrap();
+        let tracked = seq.tracked_ids();
+        for i in 1..=500u64 {
+            let err = seq.submit(msg(i, 0, 50.0), 101.0).unwrap_err();
+            assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
+        }
+        assert_eq!(seq.tracked_ids(), tracked);
+        seq.submit(msg(1, 0, 150.0), 150.0).unwrap();
+        assert_eq!(seq.tracked_ids(), tracked + 1);
     }
 
     #[test]

@@ -64,6 +64,7 @@ use crate::config::{resolve_shards, SequencerConfig};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
+use crate::session::SessionCounters;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 use tommy_stats::erf::std_normal_inv_cdf;
@@ -137,6 +138,8 @@ struct Shard {
     routed: usize,
     /// Events the inner sequencer rejected (drained by the wrapper).
     rejections: Vec<CoreError>,
+    /// Ids of rejected submissions, for the wrapper to stop tracking.
+    rejected_ids: Vec<MessageId>,
 }
 
 impl Shard {
@@ -150,6 +153,7 @@ impl Shard {
             key_of: HashMap::new(),
             routed: 0,
             rejections: Vec::new(),
+            rejected_ids: Vec::new(),
         }
     }
 
@@ -201,6 +205,7 @@ impl Shard {
                 ShardEvent::Submit(message, arrival) => {
                     let key = message.timestamp
                         - self.clients.get(&message.client).map_or(0.0, |c| c.mean);
+                    let id = message.id;
                     match self.seq.submit(message.clone(), arrival) {
                         Ok(_) => {
                             if let Some(info) = self.clients.get_mut(&message.client) {
@@ -211,7 +216,10 @@ impl Shard {
                             self.routed += 1;
                             self.stage_emissions();
                         }
-                        Err(e) => self.rejections.push(e),
+                        Err(e) => {
+                            self.rejected_ids.push(id);
+                            self.rejections.push(e);
+                        }
                     }
                 }
                 ShardEvent::Heartbeat(client, timestamp, arrival) => {
@@ -292,7 +300,8 @@ pub struct ShardedSequencer {
     next_shard: usize,
     /// Global duplicate detection — shards only see their own ids, so the
     /// wrapper rejects cross-shard duplicates synchronously, exactly where
-    /// the single engine would.
+    /// the single engine would. Rejected submissions are untracked, and
+    /// under `retain_history(false)` so are released ones.
     seen_ids: HashSet<MessageId>,
     /// Smallest Gaussian σ registered so far (the merge-window scale).
     min_sigma: Option<f64>,
@@ -304,6 +313,9 @@ pub struct ShardedSequencer {
     /// only kept under [`SequencerConfig::retain_history`].
     released_groups: Vec<Vec<MessageId>>,
     global_rank: usize,
+    /// `emitted_at` of the latest multi-shard release: later releases are
+    /// clamped to it, so the released clock never runs backwards.
+    last_emitted_at: f64,
     released_messages: usize,
     max_pending: usize,
     shard_merges: u64,
@@ -328,6 +340,7 @@ impl ShardedSequencer {
             released: Vec::new(),
             released_groups: Vec::new(),
             global_rank: 0,
+            last_emitted_at: f64::NEG_INFINITY,
             released_messages: 0,
             max_pending: 0,
             shard_merges: 0,
@@ -350,6 +363,21 @@ impl ShardedSequencer {
     /// The shard a client is assigned to, if registered.
     pub fn shard_of(&self, client: ClientId) -> Option<usize> {
         self.assignment.get(&client).copied()
+    }
+
+    /// Number of message ids currently tracked for duplicate detection.
+    /// With [`SequencerConfig::retain_history`] unset this stays bounded by
+    /// the pending, staged and queued messages; with it set (the default)
+    /// it grows with the stream — as [`OnlineSequencer::tracked_ids`].
+    pub fn tracked_ids(&self) -> usize {
+        self.seen_ids.len()
+    }
+
+    /// Record delivery-layer session counters (see
+    /// [`OnlineSequencer::record_session_counters`]). They land on shard 0,
+    /// so the aggregate [`stats`](Self::stats) carries them exactly once.
+    pub fn record_session_counters(&mut self, counters: SessionCounters) {
+        self.shards[0].seq.record_session_counters(counters);
     }
 
     /// Register a client, assigning it round-robin to a shard (first
@@ -496,6 +524,7 @@ impl ShardedSequencer {
     /// Post-processing shared by every drive variant: sample the global
     /// counters, run the merge, buffer and return what it released.
     fn finish_drive(&mut self) -> Vec<EmittedBatch> {
+        self.untrack_rejected();
         let pending: usize = self.shards.iter().map(|s| s.seq.pending_len()).sum();
         self.max_pending = self.max_pending.max(pending);
         if self.shards.len() > 1 {
@@ -508,15 +537,42 @@ impl ShardedSequencer {
         released
     }
 
+    /// Stop tracking the ids of submissions the shards rejected, so a
+    /// client cannot grow the duplicate set with rejected fresh ids.
+    fn untrack_rejected(&mut self) {
+        for shard in &mut self.shards {
+            for id in shard.rejected_ids.drain(..) {
+                self.seen_ids.remove(&id);
+            }
+        }
+    }
+
     /// Record released batches into the drain buffer and the run counters.
     fn record_released(&mut self, released: &[EmittedBatch]) {
         for batch in released {
             self.released_messages += batch.messages.len();
             if self.config.retain_history {
                 self.released_groups.push(batch.message_ids());
+            } else {
+                // Bounded-memory mode, the single engine's rule: released
+                // ids stop being tracked.
+                for m in &batch.messages {
+                    self.seen_ids.remove(&m.id);
+                }
             }
         }
         self.released.extend_from_slice(released);
+    }
+
+    /// Give a multi-shard release the next global rank and clamp its
+    /// `emitted_at` to the previous release's: shard-local emission clocks
+    /// interleave, but the released sequence must not run backwards.
+    fn stamp(&mut self, mut batch: EmittedBatch) -> EmittedBatch {
+        batch.rank = self.global_rank;
+        self.global_rank += 1;
+        batch.emitted_at = batch.emitted_at.max(self.last_emitted_at);
+        self.last_emitted_at = batch.emitted_at;
+        batch
     }
 
     /// The cross-shard release margin `w = z_θ · √2 · σ_min` (0 for mixed
@@ -617,13 +673,9 @@ impl ShardedSequencer {
             }
         }
         self.shard_merges += parts.len() as u64;
-        let rank = self.global_rank;
-        self.global_rank += 1;
         if parts.len() == 1 {
             let (_, staged) = parts.pop().expect("one part");
-            let mut batch = staged.batch;
-            batch.rank = rank;
-            return batch;
+            return self.stamp(staged.batch);
         }
         let mut members: Vec<(u64, usize, usize, Message)> = Vec::new();
         let mut emitted_at = f64::NEG_INFINITY;
@@ -642,12 +694,12 @@ impl ShardedSequencer {
             }
         }
         members.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        EmittedBatch {
-            rank,
+        self.stamp(EmittedBatch {
+            rank: 0,
             messages: members.into_iter().map(|(_, _, _, m)| m).collect(),
             emitted_at,
             safe_after,
-        }
+        })
     }
 
     /// Drain every shard (queued events, then the inner `flush`), release
@@ -675,11 +727,9 @@ impl ShardedSequencer {
             .map(|(i, _)| i)
         {
             let staged = self.shards[best].out.pop_front().expect("non-empty");
-            let mut batch = staged.batch;
-            batch.rank = self.global_rank;
-            self.global_rank += 1;
-            released.push(batch);
+            released.push(self.stamp(staged.batch));
         }
+        self.untrack_rejected();
         let pending: usize = self.shards.iter().map(|s| s.seq.pending_len()).sum();
         self.max_pending = self.max_pending.max(pending);
         self.record_released(&released);
@@ -988,6 +1038,75 @@ mod tests {
             CoreError::NonMonotoneTimestamp { .. }
         ));
         assert_eq!(seq.pending_len(), 1);
+    }
+
+    /// Under `retain_history(false)` the wrapper's duplicate set is pruned
+    /// as batches are released: over a long K = 2 stream it never holds
+    /// more than the messages still pending, staged or queued.
+    #[test]
+    fn unretained_history_bounds_tracked_ids() {
+        let config = SequencerConfig::default()
+            .with_retain_history(false)
+            .with_shards(2);
+        let mut seq = ShardedSequencer::new(config);
+        for (c, d) in gaussian_clients(4, 2.0) {
+            seq.register_client(c, d);
+        }
+        let mut released = 0;
+        for i in 0..2_000u64 {
+            let t = 10.0 * i as f64;
+            let client = ClientId((i % 4) as u32);
+            seq.submit(Message::new(MessageId(i), client, t), t + 1.0)
+                .unwrap();
+            for c in 0..4 {
+                if c != client.0 {
+                    seq.heartbeat(ClientId(c), t, t + 1.0).unwrap();
+                }
+            }
+            seq.drive(t + 1.0);
+            released += seq.take_emitted().len();
+            let held: usize = seq
+                .shards
+                .iter()
+                .map(|s| {
+                    let staged: usize = s.out.iter().map(|b| b.batch.messages.len()).sum();
+                    let queued = s
+                        .queue
+                        .iter()
+                        .filter(|e| matches!(e, ShardEvent::Submit(..)))
+                        .count();
+                    staged + queued
+                })
+                .sum();
+            assert!(
+                seq.tracked_ids() <= seq.pending_len() + held,
+                "step {i}: {} ids tracked for {} pending + {held} held",
+                seq.tracked_ids(),
+                seq.pending_len()
+            );
+        }
+        assert!(released > 1_000, "the stream must flow: {released} released");
+    }
+
+    /// Submissions a shard rejects after the wrapper's duplicate check
+    /// (non-monotone timestamps) stop being tracked at the next drive.
+    #[test]
+    fn rejected_fresh_ids_are_not_tracked() {
+        let mut seq = ShardedSequencer::new(SequencerConfig::default().with_shards(2));
+        for (c, d) in gaussian_clients(2, 1.0) {
+            seq.register_client(c, d);
+        }
+        seq.submit(Message::new(MessageId(0), ClientId(0), 100.0), 100.0)
+            .unwrap();
+        seq.drive(100.0);
+        let tracked = seq.tracked_ids();
+        for i in 1..=500u64 {
+            seq.submit(Message::new(MessageId(i), ClientId(0), 50.0), 101.0)
+                .unwrap();
+            seq.drive(101.0);
+        }
+        assert_eq!(seq.take_rejections().len(), 500);
+        assert_eq!(seq.tracked_ids(), tracked);
     }
 
     #[test]

@@ -37,26 +37,6 @@ pub fn normalized_kendall_tau(a: &[MessageId], b: &[MessageId]) -> f64 {
     kendall_tau_distance(a, b) as f64 / pairs as f64
 }
 
-/// The Spearman footrule: the sum over messages of the absolute difference of
-/// their positions in the two orders.
-///
-/// # Panics
-///
-/// Panics if the two orders are not permutations of the same message set.
-pub fn spearman_footrule(a: &[MessageId], b: &[MessageId]) -> usize {
-    assert_eq!(a.len(), b.len(), "orders must have the same length");
-    let pos_b: HashMap<MessageId, usize> = b.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    a.iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let j = *pos_b
-                .get(m)
-                .unwrap_or_else(|| panic!("{m} missing from second order"));
-            i.abs_diff(j)
-        })
-        .sum()
-}
-
 /// Count inversions in a permutation of positions via merge sort (O(n log n)).
 fn count_inversions(values: &[usize]) -> usize {
     fn sort_count(v: &mut [usize]) -> usize {
@@ -110,7 +90,6 @@ mod tests {
         let a = ids(&[1, 2, 3, 4]);
         assert_eq!(kendall_tau_distance(&a, &a), 0);
         assert_eq!(normalized_kendall_tau(&a, &a), 0.0);
-        assert_eq!(spearman_footrule(&a, &a), 0);
     }
 
     #[test]
@@ -119,7 +98,6 @@ mod tests {
         let b = ids(&[4, 3, 2, 1]);
         assert_eq!(kendall_tau_distance(&a, &b), 6);
         assert_eq!(normalized_kendall_tau(&a, &b), 1.0);
-        assert_eq!(spearman_footrule(&a, &b), 8);
     }
 
     #[test]
@@ -127,7 +105,6 @@ mod tests {
         let a = ids(&[1, 2, 3, 4]);
         let b = ids(&[1, 3, 2, 4]);
         assert_eq!(kendall_tau_distance(&a, &b), 1);
-        assert_eq!(spearman_footrule(&a, &b), 2);
     }
 
     #[test]
@@ -135,17 +112,6 @@ mod tests {
         let a = ids(&[5, 1, 4, 2, 3]);
         let b = ids(&[1, 2, 3, 4, 5]);
         assert_eq!(kendall_tau_distance(&a, &b), kendall_tau_distance(&b, &a));
-        assert_eq!(spearman_footrule(&a, &b), spearman_footrule(&b, &a));
-    }
-
-    #[test]
-    fn footrule_bounds_kendall() {
-        // Diaconis–Graham inequality: K ≤ F ≤ 2K.
-        let a = ids(&[3, 7, 1, 9, 5, 2, 8]);
-        let b = ids(&[1, 2, 3, 5, 7, 8, 9]);
-        let k = kendall_tau_distance(&a, &b);
-        let f = spearman_footrule(&a, &b);
-        assert!(k <= f && f <= 2 * k, "K = {k}, F = {f}");
     }
 
     #[test]

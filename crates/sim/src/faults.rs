@@ -1,15 +1,15 @@
-//! Fault-injected end-to-end streaming runs.
+//! The fault-injected wire delivery path of the stream runner.
 //!
-//! [`run_fault_stream`] drives a scenario through the *full* delivery path —
-//! every client frame is wrapped in a sequenced stream frame
-//! ([`tommy_wire::SequencedSender`]), encoded onto the wire
-//! ([`tommy_wire::frame::encode_frame`]), perturbed by a deterministic
-//! [`FaultInjector`] (loss, duplication, reordering, partitions, crashes),
-//! decoded by a [`FrameDecoder`], reassembled in send order by a
-//! [`StreamReceiver`] running the configured [`RecoveryPolicy`], and only
-//! then submitted to a liveness-enabled [`OnlineSequencer`]. Retransmit
-//! requests are answered from sender history after a round trip; crashed
-//! senders stay silent until their fault window closes.
+//! [`Delivery::Wire`](crate::runner::Delivery::Wire) drives a scenario's
+//! schedule through the *full* delivery path — every client frame is
+//! wrapped in a sequenced stream frame ([`tommy_wire::SequencedSender`]),
+//! encoded onto the wire ([`tommy_wire::frame::encode_frame`]), perturbed by
+//! a deterministic [`FaultInjector`] (loss, duplication, reordering,
+//! partitions, crashes), decoded by a [`FrameDecoder`], reassembled in send
+//! order by a [`StreamReceiver`] running the configured [`RecoveryPolicy`],
+//! and only then applied to a liveness-enabled engine. Retransmit requests
+//! are answered from sender history after a round trip; crashed senders
+//! stay silent until their fault window closes.
 //!
 //! The run is fully deterministic: the workload is seeded, every fault
 //! decision is a pure hash, and simulated events are processed in
@@ -17,26 +17,16 @@
 //! produce bit-identical [`DeliveryTrace`]s and batch sequences (the
 //! fault-determinism contract the integration tests pin down).
 
-use crate::runner::{generate_messages, scenario_claimed_offsets};
+use crate::runner::{horizon_pad, Schedule, Sink, NETWORK_DELAY};
 use crate::scenario::ScenarioConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use tommy_core::batching::FairOrder;
-use tommy_core::config::{LivenessConfig, SequencerConfig};
-use tommy_core::defense::{DefenseConfig, ExpectedDelay};
-use tommy_core::message::{ClientId, Message, MessageId};
-use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
-use tommy_metrics::ras::{rank_agreement_score, RasScore};
+use std::collections::{BTreeMap, BinaryHeap};
+use tommy_core::message::ClientId;
+use tommy_core::sequencer::StreamEngine;
 use tommy_netsim::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 use tommy_netsim::{FaultAction, FaultInjector, FaultPlan, NodeId, SimTime};
 use tommy_wire::frame::{encode_frame, FrameDecoder};
 use tommy_wire::{RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
-
-/// Nominal one-way delivery delay of the simulated network (the fault-free
-/// schedule faults perturb).
-pub const NETWORK_DELAY: f64 = 1.0;
 
 /// Staleness deadline of the liveness detector in fault runs: a client whose
 /// stream is wedged (an unhealed hole under [`RecoveryPolicy::Halt`], a
@@ -48,28 +38,13 @@ pub const FAULT_STALENESS_DEADLINE: f64 = 25.0;
 /// `NodeId(client.0)`).
 const SEQUENCER_NODE: NodeId = NodeId(u32::MAX);
 
-/// The scored output of one fault-injected streaming run.
-#[derive(Debug, Clone)]
-pub struct FaultStreamResult {
-    /// RAS of the emitted order against the ground truth of every message
-    /// that *reached* the sequencer (under lossy policies that skip, the
-    /// never-delivered remainder is excluded from scoring).
-    pub ras: RasScore,
-    /// Online sequencer statistics, including the session-layer recovery
-    /// counters (`gaps_detected`, `dupes_dropped`, `retransmit_requests`, …)
-    /// and the liveness counters (`evictions`, `rejoins`,
-    /// `watermark_stall_ticks`).
-    pub stats: OnlineStats,
-    /// The emitted batch sequence (message ids per batch, in emission
-    /// order) — part of the determinism contract.
-    pub batches: Vec<Vec<MessageId>>,
+/// What the wire path did to a run's frames. The session layer's recovery
+/// counters (`gaps_detected`, `dupes_dropped`, `retransmit_requests`, …)
+/// and the liveness counters live on the engine's stats.
+#[derive(Debug, Clone, Default)]
+pub struct WireReport {
     /// Every frame delivery and drop, attributable per link.
     pub trace: DeliveryTrace,
-    /// Messages the workload generated.
-    pub generated: usize,
-    /// Messages released by the session layer and submitted to the
-    /// sequencer.
-    pub submitted: usize,
     /// Stream frames sent (submits, heartbeats, fins; excludes retransmitted
     /// copies).
     pub frames_sent: usize,
@@ -114,8 +89,9 @@ impl Ord for Event {
     }
 }
 
-/// The mutable state of one fault run (network, session layer, sequencer).
-struct FaultRun {
+/// The mutable state of one fault run: network and session layer, feeding
+/// the shared engine side.
+struct FaultRun<'a, E> {
     injector: FaultInjector,
     /// Heterogeneous link-delay spread ([`ScenarioConfig::link_delay_spread`]);
     /// `0.0` keeps every link at the homogeneous [`NETWORK_DELAY`].
@@ -125,21 +101,12 @@ struct FaultRun {
     next_event: u64,
     decoder: FrameDecoder,
     rx: StreamReceiver,
-    sequencer: OnlineSequencer,
-    truths: HashMap<MessageId, f64>,
-    submitted: Vec<Message>,
-    order: FairOrder,
-    batches: Vec<Vec<MessageId>>,
-    trace: DeliveryTrace,
+    sink: &'a mut Sink<E>,
+    report: WireReport,
     clock: f64,
-    frames_sent: usize,
-    frames_delivered: usize,
-    frames_dropped: usize,
-    frames_duplicated: usize,
-    retransmits_answered: usize,
 }
 
-impl FaultRun {
+impl<E: StreamEngine> FaultRun<'_, E> {
     /// The one-way delay of `from`'s link: the nominal constant plus the
     /// deterministic node-keyed spread ([`tommy_netsim::link_delay`]).
     fn link_delay(&self, from: ClientId) -> f64 {
@@ -160,21 +127,16 @@ impl FaultRun {
         }));
     }
 
-    /// Wrap `inner` in `client`'s sequenced stream and hand the frame to the
-    /// fault injector (drop, delay, or duplicate).
-    fn send(&mut self, client: ClientId, inner: WireMessage, sent_at: f64) {
+    /// Wrap `inner` in `client`'s sequenced stream (or, for `None`, close
+    /// the stream with a fin) and hand the frame to the fault injector. The
+    /// orderly-shutdown marker rides the same faulty network as data.
+    fn send(&mut self, client: ClientId, inner: Option<WireMessage>, sent_at: f64) {
         let tx = self.senders.get_mut(&client).expect("registered sender");
         let sequence = tx.next_sequence();
-        let frame = tx.wrap(inner);
-        self.dispatch(client, sequence, &frame, sent_at, true);
-    }
-
-    /// Close `client`'s stream with a fin frame (always dispatched — the
-    /// orderly-shutdown marker rides the same faulty network as data).
-    fn send_fin(&mut self, client: ClientId, sent_at: f64) {
-        let tx = self.senders.get_mut(&client).expect("registered sender");
-        let sequence = tx.next_sequence();
-        let frame = tx.fin();
+        let frame = match inner {
+            Some(inner) => tx.wrap(inner),
+            None => tx.fin(),
+        };
         self.dispatch(client, sequence, &frame, sent_at, true);
     }
 
@@ -192,15 +154,15 @@ impl FaultRun {
     ) {
         let bytes = encode_frame(frame).to_vec();
         let action = if faulted {
-            self.frames_sent += 1;
+            self.report.frames_sent += 1;
             self.injector.action(from.0, sequence, sent_at)
         } else {
             FaultAction::Deliver { extra_delay: 0.0 }
         };
         match action {
             FaultAction::Drop => {
-                self.frames_dropped += 1;
-                self.trace.record_drop(DropRecord {
+                self.report.frames_dropped += 1;
+                self.report.trace.record_drop(DropRecord {
                     from: NodeId(from.0),
                     to: SEQUENCER_NODE,
                     message_id: sequence,
@@ -209,13 +171,19 @@ impl FaultRun {
             }
             FaultAction::Deliver { extra_delay } => {
                 let delay = self.link_delay(from);
-                self.push(sent_at + delay + extra_delay, from, sequence, sent_at, bytes);
+                self.push(
+                    sent_at + delay + extra_delay,
+                    from,
+                    sequence,
+                    sent_at,
+                    bytes,
+                );
             }
             FaultAction::Duplicate {
                 extra_delay,
                 duplicate_delay,
             } => {
-                self.frames_duplicated += 1;
+                self.report.frames_duplicated += 1;
                 let delay = self.link_delay(from);
                 self.push(
                     sent_at + delay + extra_delay,
@@ -235,39 +203,7 @@ impl FaultRun {
         }
     }
 
-    /// Drain every emitted batch into the scored order.
-    fn drain_emitted(&mut self) {
-        for batch in self.sequencer.take_emitted() {
-            let ids = batch.message_ids();
-            self.order.push_batch(ids.clone());
-            self.batches.push(ids);
-        }
-    }
-
-    /// Feed one released (in-send-order) message to the sequencer.
-    fn apply(&mut self, message: WireMessage, now: f64) {
-        match message {
-            WireMessage::Submit {
-                id,
-                client,
-                timestamp,
-            } => {
-                let truth = self.truths[&id];
-                let msg = Message::with_true_time(id, client, timestamp, truth);
-                self.submitted.push(msg.clone());
-                self.sequencer.submit(msg, now).expect("valid submission");
-            }
-            WireMessage::Heartbeat { client, timestamp } => {
-                self.sequencer
-                    .heartbeat(client, timestamp, now)
-                    .expect("registered client heartbeat");
-            }
-            other => panic!("unexpected released message {other:?}"),
-        }
-        self.drain_emitted();
-    }
-
-    /// Run the session layer's recovery policy at `now`: flush skip-released
+    /// Run the session layer's recovery policy at `now`: apply skip-released
     /// messages and answer due retransmit requests (fault-free, one round
     /// trip later; crashed senders cannot answer). Returns whether anything
     /// happened.
@@ -275,7 +211,7 @@ impl FaultRun {
         let poll = self.rx.poll(now);
         let mut progressed = !poll.released.is_empty();
         for message in poll.released {
-            self.apply(message, now);
+            self.sink.apply(message, now);
         }
         for request in poll.retransmits {
             if self.injector.crashed(request.sender.0, now) {
@@ -289,7 +225,7 @@ impl FaultRun {
             else {
                 continue;
             };
-            self.retransmits_answered += 1;
+            self.report.retransmits_answered += 1;
             progressed = true;
             let rtt = self.link_delay(request.sender);
             self.dispatch(request.sender, request.sequence, &frame, now + rtt, false);
@@ -308,8 +244,8 @@ impl FaultRun {
             let now = self.clock;
             self.decoder.feed(&event.bytes);
             while let Some(message) = self.decoder.next_message().expect("well-formed frame") {
-                self.frames_delivered += 1;
-                self.trace.record(DeliveryRecord {
+                self.report.frames_delivered += 1;
+                self.report.trace.record(DeliveryRecord {
                     from: NodeId(event.from.0),
                     to: SEQUENCER_NODE,
                     message_id: event.sequence,
@@ -317,7 +253,7 @@ impl FaultRun {
                     delivered_at: SimTime::new(now),
                 });
                 for released in self.rx.receive(message, now) {
-                    self.apply(released, now);
+                    self.sink.apply(released, now);
                 }
             }
             self.pump(now);
@@ -326,69 +262,30 @@ impl FaultRun {
     }
 }
 
-/// Run a scenario's stream through the faulty delivery path.
+/// Deliver a schedule over the faulty wire path and close the stream.
 ///
 /// `plans` compose with [`ScenarioConfig::fault`] (if set) into one
-/// [`FaultInjector`]; pass an empty slice and leave the config fault unset
-/// for a fault-free control run (bit-identical to any zero-intensity plan).
-pub fn run_fault_stream(
+/// [`FaultInjector`]; an empty slice with the config fault unset is the
+/// fault-free control (bit-identical to any zero-intensity plan).
+pub(crate) fn deliver_wire<E: StreamEngine>(
     config: &ScenarioConfig,
+    schedule: Schedule,
     plans: &[FaultPlan],
     policy: RecoveryPolicy,
-    p_safe: f64,
-) -> FaultStreamResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut deliveries = generate_messages(config, &mut rng);
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("finite true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-    let span_lo = deliveries
-        .first()
-        .and_then(|m| m.true_time)
-        .unwrap_or(0.0);
-    let span_hi = deliveries
-        .last()
-        .and_then(|m| m.true_time)
-        .unwrap_or(0.0);
-
-    let all_plans: Vec<FaultPlan> = config.fault.iter().copied().chain(plans.iter().copied()).collect();
-    let injector = FaultInjector::new(&all_plans, span_lo, span_hi);
-
-    let mut seq_config = SequencerConfig::default()
-        .with_threshold(config.threshold)
-        .with_p_safe(p_safe)
-        .with_retain_history(false)
-        .with_liveness(LivenessConfig::enabled(FAULT_STALENESS_DEADLINE));
-    if config.defended {
-        // Same defense shape as `run_online_stream`, with the expected
-        // delay learned online — essential here, where
-        // `link_delay_spread` gives every client a distinct one-way delay
-        // the sequencer has no way to know a priori. A fixed expected
-        // delay would bias every residual by the per-link delta and
-        // mis-flag honest clients (see `tests/collusion_defense.rs`).
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
-    }
-    let mut sequencer = OnlineSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
-        .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
+    sink: &mut Sink<E>,
+) -> WireReport {
+    let (span_lo, span_hi) = schedule.span;
+    let all_plans: Vec<FaultPlan> = config
+        .fault
+        .iter()
+        .copied()
+        .chain(plans.iter().copied())
         .collect();
-
+    let clients: Vec<ClientId> = schedule.clients().collect();
     let mut run = FaultRun {
-        injector,
+        injector: FaultInjector::new(&all_plans, span_lo, span_hi),
         link_spread: config.link_delay_spread,
-        senders: client_ids
+        senders: clients
             .iter()
             .map(|&c| (c, SequencedSender::new(c, 0)))
             .collect(),
@@ -396,57 +293,20 @@ pub fn run_fault_stream(
         next_event: 0,
         decoder: FrameDecoder::new(),
         rx: StreamReceiver::new(policy),
-        sequencer,
-        truths: deliveries
-            .iter()
-            .map(|m| (m.id, m.true_time.expect("true time")))
-            .collect(),
-        submitted: Vec::new(),
-        order: FairOrder::default(),
-        batches: Vec::new(),
-        trace: DeliveryTrace::new(),
+        sink,
+        report: WireReport::default(),
         clock: span_lo,
-        frames_sent: 0,
-        frames_delivered: 0,
-        frames_dropped: 0,
-        frames_duplicated: 0,
-        retransmits_answered: 0,
     };
 
-    // Send phase: every frame of the run, in true-time order. Alongside each
-    // submission every *other* client heartbeats its (monotone) reading of
-    // the current true time; all frames — heartbeats included — ride the
-    // client's sequenced stream, so a lossy network wedges exactly what a
-    // real deployment would wedge.
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut max_send_ts = f64::NEG_INFINITY;
-    for delivery in &deliveries {
-        let t = delivery.true_time.expect("true time");
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
-            }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = t.max(floor);
-            last_ts.insert(client, ts);
-            run.send(client, WireMessage::Heartbeat { client, timestamp: ts }, t);
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        max_send_ts = max_send_ts.max(ts);
-        run.send(
-            delivery.client,
-            WireMessage::Submit {
-                id: delivery.id,
-                client: delivery.client,
-                timestamp: ts,
-            },
-            t,
-        );
+    // Send phase: every frame of the schedule rides its client's sequenced
+    // stream — heartbeats included — so a lossy network wedges exactly what
+    // a real deployment would wedge.
+    for (sent, frame) in schedule.frames {
+        let client = match frame {
+            WireMessage::Submit { client, .. } | WireMessage::Heartbeat { client, .. } => client,
+            ref other => panic!("unexpected stream frame {other:?}"),
+        };
+        run.send(client, Some(frame), sent);
     }
 
     // Delivery phase: process the whole schedule (retransmit round trips
@@ -461,18 +321,15 @@ pub fn run_fault_stream(
     // client look stale and trigger spurious evictions on a healthy run.
     // The close rides the faulty network too; loss can still eat it, and
     // recovery (or eviction) handles that like any other fault.
-    let horizon = max_send_ts.max(span_hi) + 1_000.0 * config.clock_std_dev.max(1.0);
+    let horizon = schedule.max_timestamp.max(span_hi) + horizon_pad(config);
     let close_send = run.clock.max(span_hi);
-    for &client in &client_ids {
-        run.send(
+    for &client in &clients {
+        let heartbeat = WireMessage::Heartbeat {
             client,
-            WireMessage::Heartbeat {
-                client,
-                timestamp: horizon,
-            },
-            close_send,
-        );
-        run.send_fin(client, close_send);
+            timestamp: horizon,
+        };
+        run.send(client, Some(heartbeat), close_send);
+        run.send(client, None, close_send);
     }
 
     // Recovery rounds: drain deliveries and poll the session layer until
@@ -496,37 +353,34 @@ pub fn run_fault_stream(
     // Emit everything that can be emitted: first at the post-recovery clock,
     // then one staleness deadline later so wedged clients are evicted and
     // the watermark frontier clears, then flush the stragglers.
-    run.sequencer.tick(run.clock);
-    run.drain_emitted();
-    run.clock += FAULT_STALENESS_DEADLINE + 1.0;
-    run.sequencer.tick(run.clock);
-    run.drain_emitted();
-    run.sequencer.flush();
-    run.drain_emitted();
-
-    let counters = run.rx.counters();
-    run.sequencer.record_session_counters(counters);
-
-    let ras = rank_agreement_score(&run.order, &run.submitted);
-    FaultStreamResult {
-        ras,
-        stats: run.sequencer.stats(),
-        batches: run.batches,
-        trace: run.trace,
-        generated: deliveries.len(),
-        submitted: run.submitted.len(),
-        frames_sent: run.frames_sent,
-        frames_delivered: run.frames_delivered,
-        frames_dropped: run.frames_dropped,
-        frames_duplicated: run.frames_duplicated,
-        retransmits_answered: run.retransmits_answered,
-    }
+    let sink = &mut *run.sink;
+    sink.engine.tick_at(run.clock);
+    sink.drain();
+    sink.engine
+        .tick_at(run.clock + FAULT_STALENESS_DEADLINE + 1.0);
+    sink.drain();
+    sink.engine.flush_all();
+    sink.drain();
+    sink.engine.record_session_counters(run.rx.counters());
+    run.report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_stream, Delivery, StreamResult};
+    use tommy_core::message::MessageId;
+    use tommy_core::sequencer::{OnlineSequencer, ShardedSequencer};
     use tommy_netsim::FaultFamily;
+
+    fn wire_stream(
+        config: &ScenarioConfig,
+        plans: &[FaultPlan],
+        policy: RecoveryPolicy,
+        p_safe: f64,
+    ) -> StreamResult<OnlineSequencer> {
+        run_stream(config, p_safe, Delivery::Wire { plans, policy })
+    }
 
     fn small() -> ScenarioConfig {
         ScenarioConfig::default()
@@ -543,54 +397,67 @@ mod tests {
 
     #[test]
     fn fault_free_run_delivers_and_emits_everything() {
-        let result = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        let result = wire_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
         assert_eq!(result.generated, 60);
-        assert_eq!(result.submitted, 60, "no faults ⇒ nothing lost");
-        assert_eq!(result.stats.messages_emitted, 60);
-        assert_eq!(result.frames_dropped, 0);
-        assert_eq!(result.trace.drop_count(), 0);
-        assert_eq!(result.stats.gaps_detected, 0);
-        assert_eq!(result.stats.evictions, 0);
-        assert_eq!(result.ras.pairs(), 60 * 59 / 2);
+        assert_eq!(result.submitted.len(), 60, "no faults ⇒ nothing lost");
+        assert_eq!(result.stats().messages_emitted, 60);
+        assert_eq!(result.wire().frames_dropped, 0);
+        assert_eq!(result.wire().trace.drop_count(), 0);
+        assert_eq!(result.stats().gaps_detected, 0);
+        assert_eq!(result.stats().evictions, 0);
+        assert_eq!(result.ras().pairs(), 60 * 59 / 2);
     }
 
     #[test]
     fn loss_with_retransmit_loses_nothing() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.2);
-        let result = run_fault_stream(&small(), &[plan], RETRANSMIT, 0.99);
-        assert!(result.frames_dropped > 0, "20% loss must drop frames");
-        assert!(result.stats.gaps_detected > 0);
-        assert!(result.stats.retransmit_requests > 0);
-        assert!(result.retransmits_answered > 0);
-        assert_eq!(result.submitted, result.generated, "retransmit recovers every loss");
-        assert_eq!(result.stats.messages_emitted, result.generated);
-        assert_eq!(result.trace.drop_count(), result.frames_dropped);
+        let result = wire_stream(&small(), &[plan], RETRANSMIT, 0.99);
+        assert!(
+            result.wire().frames_dropped > 0,
+            "20% loss must drop frames"
+        );
+        assert!(result.stats().gaps_detected > 0);
+        assert!(result.stats().retransmit_requests > 0);
+        assert!(result.wire().retransmits_answered > 0);
+        assert_eq!(
+            result.submitted.len(),
+            result.generated,
+            "retransmit recovers every loss"
+        );
+        assert_eq!(result.stats().messages_emitted, result.generated);
+        assert_eq!(
+            result.wire().trace.drop_count(),
+            result.wire().frames_dropped
+        );
     }
 
     #[test]
     fn duplication_never_emits_twice() {
         let plan = FaultPlan::new(FaultFamily::Duplication, 0.4).with_scale(3.0);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
-        assert!(result.frames_duplicated > 0);
-        assert!(result.stats.dupes_dropped > 0);
-        let emitted: Vec<MessageId> = result.batches.iter().flatten().copied().collect();
+        let result = wire_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        assert!(result.wire().frames_duplicated > 0);
+        assert!(result.stats().dupes_dropped > 0);
+        let emitted: Vec<MessageId> = result.order.flatten();
         let mut unique = emitted.clone();
         unique.sort();
         unique.dedup();
         assert_eq!(emitted.len(), unique.len(), "no message emitted twice");
-        assert_eq!(result.stats.messages_emitted, result.generated);
+        assert_eq!(result.stats().messages_emitted, result.generated);
     }
 
     #[test]
     fn halt_under_loss_stays_live_through_eviction() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.2);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        let result = wire_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
         // Halt never skips, so wedged streams stall their clients — the
         // liveness detector must evict them and the run must still emit
         // every message that got through.
-        assert!(result.stats.evictions > 0, "{:?}", result.stats);
-        assert_eq!(result.stats.messages_emitted, result.submitted);
-        assert!(result.submitted < result.generated, "halt cannot recover losses");
+        assert!(result.stats().evictions > 0, "{:?}", result.stats());
+        assert_eq!(result.stats().messages_emitted, result.submitted.len());
+        assert!(
+            result.submitted.len() < result.generated,
+            "halt cannot recover losses"
+        );
     }
 
     #[test]
@@ -598,10 +465,17 @@ mod tests {
         let plan = FaultPlan::new(FaultFamily::Crash, 0.4)
             .with_onset_fraction(0.2)
             .with_targets(1);
-        let result = run_fault_stream(&small(), &[plan], RETRANSMIT, 0.99);
-        assert!(result.frames_dropped > 0, "the outage must eat frames");
-        assert_eq!(result.submitted, result.generated, "history replay heals the outage");
-        assert_eq!(result.stats.messages_emitted, result.generated);
+        let result = wire_stream(&small(), &[plan], RETRANSMIT, 0.99);
+        assert!(
+            result.wire().frames_dropped > 0,
+            "the outage must eat frames"
+        );
+        assert_eq!(
+            result.submitted.len(),
+            result.generated,
+            "history replay heals the outage"
+        );
+        assert_eq!(result.stats().messages_emitted, result.generated);
     }
 
     #[test]
@@ -609,32 +483,36 @@ mod tests {
         let plan = FaultPlan::new(FaultFamily::Partition, 0.4)
             .with_onset_fraction(0.3)
             .with_scale(2.0);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
-        assert_eq!(result.frames_dropped, 0);
-        assert_eq!(result.submitted, result.generated);
-        assert_eq!(result.stats.messages_emitted, result.generated);
-        assert!(result.stats.reorders_buffered > 0 || result.stats.gaps_detected == 0);
+        let result = wire_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        assert_eq!(result.wire().frames_dropped, 0);
+        assert_eq!(result.submitted.len(), result.generated);
+        assert_eq!(result.stats().messages_emitted, result.generated);
+        assert!(result.stats().reorders_buffered > 0 || result.stats().gaps_detected == 0);
     }
 
     #[test]
     fn runs_are_bit_identical_per_seed() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.15).with_seed(5);
         let reorder = FaultPlan::new(FaultFamily::Reorder, 0.8).with_scale(4.0);
-        let a = run_fault_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
-        let b = run_fault_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
-        assert_eq!(a.trace, b.trace, "delivery traces must match bit for bit");
-        assert_eq!(a.batches, b.batches, "batch sequences must match");
-        assert_eq!(a.stats, b.stats);
+        let a = wire_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
+        let b = wire_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
+        assert_eq!(
+            a.wire().trace,
+            b.wire().trace,
+            "delivery traces must match bit for bit"
+        );
+        assert_eq!(a.order, b.order, "batch sequences must match");
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
     fn zero_intensity_plans_match_the_fault_free_control() {
-        let control = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        let control = wire_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
         for family in FaultFamily::ALL {
             let plan = FaultPlan::new(family, 0.0);
-            let faulted = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
-            assert_eq!(control.trace, faulted.trace, "{family:?}");
-            assert_eq!(control.batches, faulted.batches, "{family:?}");
+            let faulted = wire_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+            assert_eq!(control.wire().trace, faulted.wire().trace, "{family:?}");
+            assert_eq!(control.order, faulted.order, "{family:?}");
         }
     }
 
@@ -644,14 +522,18 @@ mod tests {
     #[test]
     fn heterogeneous_links_are_deterministic_and_distinct() {
         let cfg = small().with_link_delay_spread(3.0);
-        let a = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
-        let b = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.batches, b.batches);
-        let control = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
-        assert_ne!(a.trace, control.trace, "spread must perturb arrivals");
-        assert_eq!(a.submitted, a.generated, "delays lose nothing");
-        assert_eq!(a.stats.messages_emitted, a.generated);
+        let a = wire_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
+        let b = wire_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
+        assert_eq!(a.wire().trace, b.wire().trace);
+        assert_eq!(a.order, b.order);
+        let control = wire_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        assert_ne!(
+            a.wire().trace,
+            control.wire().trace,
+            "spread must perturb arrivals"
+        );
+        assert_eq!(a.submitted.len(), a.generated, "delays lose nothing");
+        assert_eq!(a.stats().messages_emitted, a.generated);
     }
 
     /// The defended fault path learns each link's delay online: honest
@@ -665,21 +547,60 @@ mod tests {
             .with_seed(11)
             .with_defended(true)
             .with_link_delay_spread(6.0);
-        let result = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
-        assert_eq!(result.submitted, result.generated);
-        assert_eq!(result.stats.quarantines, 0, "{:?}", result.stats);
-        assert_eq!(result.stats.collusion_quarantines, 0);
-        assert_eq!(result.stats.margin_fallbacks, 0);
-        assert_eq!(result.stats.messages_emitted, result.generated);
+        let result = wire_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
+        assert_eq!(result.submitted.len(), result.generated);
+        assert_eq!(result.stats().quarantines, 0, "{:?}", result.stats());
+        assert_eq!(result.stats().collusion_quarantines, 0);
+        assert_eq!(result.stats().margin_fallbacks, 0);
+        assert_eq!(result.stats().messages_emitted, result.generated);
+    }
+
+    /// The wire path is generic over the engine: a one-shard wrapper (a
+    /// bit-identical passthrough) reproduces the single engine's run,
+    /// session counters included, and two shards emit everything.
+    #[test]
+    fn wire_path_drives_the_sharded_wrapper() {
+        let plans = [FaultPlan::new(FaultFamily::Loss, 0.2)];
+        let policy = RETRANSMIT;
+        let single = wire_stream(&small(), &plans, policy, 0.99);
+        let sharded: StreamResult<ShardedSequencer> = run_stream(
+            &small(),
+            0.99,
+            Delivery::Wire {
+                plans: &plans,
+                policy,
+            },
+        );
+        assert_eq!(single.order, sharded.order);
+        assert_eq!(single.stats(), sharded.stats());
+        assert_eq!(single.wire().trace, sharded.wire().trace);
+
+        let two: StreamResult<ShardedSequencer> = run_stream(
+            &small().with_shards(2),
+            0.99,
+            Delivery::Wire {
+                plans: &plans,
+                policy,
+            },
+        );
+        assert!(two.stats().gaps_detected > 0, "{:?}", two.stats());
+        assert_eq!(two.submitted.len(), two.generated);
+        assert_eq!(two.stats().messages_emitted, two.generated);
     }
 
     #[test]
     fn config_fault_composes_with_extra_plans() {
         let cfg = small().with_fault(FaultPlan::new(FaultFamily::Loss, 0.1));
         let extra = FaultPlan::new(FaultFamily::Duplication, 0.2);
-        let result = run_fault_stream(&cfg, &[extra], RETRANSMIT, 0.99);
-        assert!(result.frames_dropped > 0, "config-attached loss applies");
-        assert!(result.frames_duplicated > 0, "extra duplication applies");
-        assert_eq!(result.submitted, result.generated);
+        let result = wire_stream(&cfg, &[extra], RETRANSMIT, 0.99);
+        assert!(
+            result.wire().frames_dropped > 0,
+            "config-attached loss applies"
+        );
+        assert!(
+            result.wire().frames_duplicated > 0,
+            "extra duplication applies"
+        );
+        assert_eq!(result.submitted.len(), result.generated);
     }
 }

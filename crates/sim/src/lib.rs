@@ -20,10 +20,12 @@
 //! rows (so integration tests and criterion benches can call it) and as a
 //! binary under `src/bin/` that prints the rows as a table/CSV.
 //!
-//! [`faults`] adds the fault-injected streaming runner: the same scenarios
-//! driven through the full wire path (sequenced stream frames, framing and
-//! CRC, gap/duplicate/reorder recovery) over a deterministic lossy network,
-//! with a liveness-enabled sequencer evicting wedged clients.
+//! [`runner::run_stream`] is the one streaming driver: one schedule, one
+//! sequencer configuration and one result for either online engine, over
+//! either delivery path — direct (constant delay) or [`faults`]' wire path
+//! (sequenced stream frames, framing and CRC, gap/duplicate/reorder
+//! recovery over a deterministic lossy network, with a liveness-enabled
+//! sequencer evicting wedged clients).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +36,6 @@ pub mod output;
 pub mod runner;
 pub mod scenario;
 
-pub use faults::{run_fault_stream, FaultStreamResult, FAULT_STALENESS_DEADLINE};
-pub use runner::{
-    run_offline_comparison, run_online_stream, run_parallel_stream, ComparisonResult,
-    OnlineStreamResult, ParallelStreamResult,
-};
+pub use faults::{WireReport, FAULT_STALENESS_DEADLINE};
+pub use runner::{run_offline_comparison, run_stream, ComparisonResult, Delivery, StreamResult};
 pub use scenario::ScenarioConfig;

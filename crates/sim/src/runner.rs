@@ -1,27 +1,42 @@
-//! End-to-end offline comparison runner (the §4 evaluation loop).
+//! Scenario runners: the offline comparison and the streaming driver.
 //!
-//! One run follows the paper's evaluation exactly: seed every client with a
-//! Gaussian clock-offset distribution, generate ground-truth events with a
-//! controlled inter-message gap, tag each with `T = t + ε`, hand the full
-//! message set to each sequencer (Tommy, TrueTime, WFO), and score every
-//! output against the omniscient observer with the Rank Agreement Score.
+//! An offline run follows the paper's §4 evaluation exactly: seed every
+//! client with a Gaussian clock-offset distribution, generate ground-truth
+//! events with a controlled inter-message gap, tag each with `T = t + ε`,
+//! hand the full message set to each sequencer (Tommy, TrueTime, WFO), and
+//! score every output against the omniscient observer with the Rank
+//! Agreement Score.
+//!
+//! A streaming run ([`run_stream`]) follows §3.5's online discipline and is
+//! built from four shared parts: one `schedule` (true-time order, the
+//! heartbeat fan-out, the monotone clamp), one `stream_config`, one
+//! engine side generic over [`StreamEngine`] (apply, drain after every
+//! submission, score), and two [`Delivery`] paths that consume the same
+//! schedule — `Direct` (constant delay) and `Wire` (the fault-injected
+//! network of [`crate::faults`]).
 
+use crate::faults::{WireReport, FAULT_STALENESS_DEADLINE};
 use crate::scenario::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use tommy_core::baselines::{TrueTimeSequencer, WfoSequencer};
 use tommy_core::batching::FairOrder;
-use tommy_core::config::{FasFallbackReason, SequencerConfig};
+use tommy_core::config::{LivenessConfig, SequencerConfig};
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
-use tommy_core::message::{ClientId, Message};
+use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::offline::TommySequencer;
-use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
+use tommy_core::sequencer::online::OnlineStats;
 use tommy_core::sequencer::sharded::ShardedSequencer;
+use tommy_core::sequencer::StreamEngine;
 use tommy_metrics::batchstats::BatchStats;
-use tommy_metrics::ras::{partitioned_rank_agreement_score, rank_agreement_score, PartitionedRas, RasScore};
+use tommy_metrics::ras::{
+    partitioned_rank_agreement_score, rank_agreement_score, PartitionedRas, RasScore,
+};
+use tommy_netsim::FaultPlan;
 use tommy_stats::distribution::OffsetDistribution;
+use tommy_wire::{RecoveryPolicy, WireMessage};
 use tommy_workload::intransitive::IntransitiveWorkload;
 use tommy_workload::population::ClockPopulation;
 use tommy_workload::tagging::tag_messages;
@@ -119,8 +134,7 @@ fn generate_honest_messages(config: &ScenarioConfig, rng: &mut StdRng) -> Vec<Me
     let population = ClockPopulation::gaussian(config.clock_std_dev);
     let clocks = population.build(config.clients, rng);
     let events = if config.inter_message_gap > 0.0 {
-        let gap_dist =
-            OffsetDistribution::shifted_exponential(0.0, 1.0 / config.inter_message_gap);
+        let gap_dist = OffsetDistribution::shifted_exponential(0.0, 1.0 / config.inter_message_gap);
         let mut t = 0.0;
         (0..config.messages)
             .map(|_| {
@@ -191,389 +205,347 @@ pub fn run_offline_comparison(config: &ScenarioConfig) -> ComparisonResult {
     }
 }
 
-/// The scored output of one *streaming* (online) run driven through the
-/// bounded-memory drain API.
-#[derive(Debug, Clone)]
-pub struct OnlineStreamResult {
-    /// RAS of the emitted order against ground truth.
-    pub ras: RasScore,
-    /// Online sequencer statistics.
-    pub stats: OnlineStats,
-    /// Number of batches emitted over the whole run.
-    pub batches: usize,
-    /// Largest number of undrained batches ever buffered inside the
-    /// sequencer. The runner drains after every event, so this stays O(1)
-    /// regardless of stream length.
-    pub max_undrained: usize,
-    /// Largest number of message ids the sequencer tracked at any point.
-    /// With history retention off this is bounded by the pending set, not by
-    /// the stream length.
-    pub max_tracked_ids: usize,
-    /// Total pairwise preceding-probability evaluations the run performed
-    /// (the registry's query counter). On the dense path this is exactly Σ
-    /// over arrivals of the pending-set size — heartbeats and clock ticks
-    /// evaluate nothing; on the sparse fast path (all-Gaussian census) it
-    /// collapses to the lazy boundary/candidate evaluations alone. Either
-    /// way the field tracks the engine's dominant cost across sweeps.
-    pub probability_queries: u64,
-    /// Lazy pairwise evaluations the sparse fast path performed
-    /// (`stats.lazy_evals`, surfaced for sweep rows). Zero on dense runs.
-    pub lazy_evals: u64,
-    /// Arrivals the sparse fast path absorbed without materializing a dense
-    /// probability column (`stats.dense_columns_avoided`). Zero on dense
-    /// runs; equals the message count on all-Gaussian streams.
-    pub dense_columns_avoided: u64,
-    /// Sparse ⇄ dense engine migrations over the run
-    /// (`stats.mode_switches`). A scenario whose census never changes
-    /// mid-stream reports at most one (the initial settle on registration).
-    pub mode_switches: u64,
-    /// High-water mark of the dense probability matrix's backing storage in
-    /// bytes (`stats.peak_matrix_bytes`). Zero when the whole run rode the
-    /// sparse fast path — the sub-quadratic-memory acceptance signal.
-    pub peak_matrix_bytes: usize,
-    /// High-water mark of the sparse order-statistics index in bytes
-    /// (`stats.peak_index_bytes`): O(pending) node storage, zero on dense
-    /// runs.
-    pub peak_index_bytes: usize,
-    /// Adjacent-pair boundary re-evaluations the incremental batch-boundary
-    /// engine performed: at most two per arrival and one per removed run on
-    /// emission, versus the `pending − 1` a from-scratch
-    /// `FairOrder::from_linear_order` would redo per arrival.
-    pub boundary_evals: u64,
-    /// Local boundary edits that split a batch in two (an arrival confidently
-    /// separated from both neighbours landing inside a batch).
-    pub batch_splits: u64,
-    /// Local boundary edits that merged two batches (a high-uncertainty
-    /// arrival bridging its neighbours, the Appendix C situation).
-    pub batch_merges: u64,
-    /// Full tournament/linear-order recomputations. Zero on Gaussian
-    /// workloads (Appendix A) — and, with the incremental FAS engine (the
-    /// default), on cyclic workloads too: cycle events become SCC-scoped
-    /// local repairs instead.
-    pub full_rebuilds: u64,
-    /// SCC-scoped local repairs the incremental FAS engine performed (one
-    /// per component merged by a cyclic arrival or re-solved after a partial
-    /// emission). Zero on Gaussian workloads.
-    pub fas_local_repairs: u64,
-    /// Exhaustive superlinear greedy passes (`graph::fas::exhaustive_passes`
-    /// delta over the run): the per-cyclic-component cost both FAS paths
-    /// share — the incremental engine pays it only for *touched* components,
-    /// the fallback for every cyclic component per intransitivity event.
-    /// Zero on Gaussian workloads.
-    pub fas_exhaustive_passes: u64,
-    /// Why the run fell back from the incremental FAS engine, if it did
-    /// (`None`: the engine was active). Echoed from
-    /// [`SequencerConfig::fas_fallback_reason`] so sweeps can no longer
-    /// silently compare an incremental run against a fallback run.
-    pub fas_fallback_reason: Option<FasFallbackReason>,
-    /// Clients quarantined by the defense layer (`stats.quarantines`,
-    /// surfaced for sweep rows). Zero when [`ScenarioConfig::defended`] is
-    /// off.
-    pub quarantines: usize,
-    /// Drift-triggered online re-estimations (`stats.reestimations`).
-    pub reestimations: usize,
-    /// Messages sequenced under quarantine fallback margins
-    /// (`stats.margin_fallbacks`).
-    pub margin_fallbacks: usize,
-    /// The network delay the runner actually simulated (the fault-free
-    /// schedule's constant), reported so the estimate below is auditable.
-    pub true_delay: f64,
-    /// The sequencer's pooled online delivery-delay estimate
-    /// ([`OnlineSequencer::mean_delay_estimate`]): per-client running means
-    /// of the `arrival − timestamp` gap, corrected by each client's claimed
-    /// mean offset and pooled by observation count. This is the same
-    /// estimate `ExpectedDelay::Online` feeds the defense layer's residual
-    /// formation, surfaced so sweeps can audit it against `true_delay`.
-    /// `NaN` when no message was delivered.
-    pub estimated_delay: f64,
-    /// Absolute error of the estimate, `|estimated_delay − true_delay|`
-    /// (grows with the clock σ and shrinks with per-client sample count).
-    pub delay_estimate_error: f64,
+/// Nominal one-way delivery delay of the simulated network: the direct
+/// path's constant, and the fault-free schedule the wire path's faults
+/// perturb.
+pub const NETWORK_DELAY: f64 = 1.0;
+
+/// A scenario's stream schedule, shared by every delivery path.
+pub(crate) struct Schedule {
+    /// The distributions the sequencer is told, in registration order.
+    pub(crate) claimed: Vec<(ClientId, OffsetDistribution)>,
+    /// `(send_time, frame)` in send order (see [`schedule`]).
+    pub(crate) frames: Vec<(f64, WireMessage)>,
+    /// Ground-truth generation time of every message.
+    pub(crate) truths: HashMap<MessageId, f64>,
+    /// True times of the first and last message (`0.0` for an empty
+    /// stream).
+    pub(crate) span: (f64, f64),
+    /// Largest submitted (clamped) timestamp; `−∞` for an empty stream.
+    pub(crate) max_timestamp: f64,
 }
 
-/// Run the online sequencer over a scenario's message stream, draining
-/// emitted batches with [`OnlineSequencer::take_emitted`] after every event
-/// so sequencer memory stays bounded by the pending set.
-///
-/// Messages are delivered in true-time order with a constant network delay;
-/// every client heartbeats alongside each delivery so watermarks advance.
-/// Per-client timestamps are clamped monotone (the paper's ordered-channel
-/// assumption).
-pub fn run_online_stream(config: &ScenarioConfig, p_safe: f64) -> OnlineStreamResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let raw = generate_messages(config, &mut rng);
-    let exhaustive_before = tommy_core::graph::fas::exhaustive_passes();
-
-    // Deliver in true-time order.
-    let mut deliveries: Vec<Message> = raw;
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-
-    let mut seq_config = SequencerConfig::default()
-        .with_threshold(config.threshold)
-        .with_p_safe(p_safe)
-        .with_retain_history(false);
-    if config.defended {
-        // Small windows so the defense reaches a verdict within the short
-        // streams the sweeps use. Residuals are measured against the
-        // sequencer's *online* per-client delay estimate, not a configured
-        // constant — the runner no longer leaks the delay it simulates into
-        // the defense, so defended runs stay honest when links are
-        // heterogeneous (see `run_fault_stream`).
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
+impl Schedule {
+    /// The registered clients, in registration order.
+    pub(crate) fn clients(&self) -> impl Iterator<Item = ClientId> + '_ {
+        self.claimed.iter().map(|(client, _)| *client)
     }
-    let mut sequencer = OnlineSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
-        .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
-        .collect();
+}
 
-    const NETWORK_DELAY: f64 = 1.0;
-    let mut order = FairOrder::default();
-    let mut max_undrained = 0usize;
-    let mut max_tracked = 0usize;
-    let drain = |sequencer: &mut OnlineSequencer, order: &mut FairOrder| {
-        for batch in sequencer.take_emitted() {
-            order.push_batch(batch.message_ids());
-        }
-    };
-    // Per-client monotone local-clock floor: a client's merged stream of
-    // message timestamps and heartbeat readings never goes backwards (the
-    // paper's ordered-channel assumption). Messages clamped by an earlier
-    // heartbeat keep their clamped timestamp for scoring too.
+/// Build a scenario's stream schedule: generate the messages, deliver them
+/// in true-time order, and send alongside each submission a heartbeat from
+/// every *other* client carrying its reading of the current true time, so
+/// watermarks advance. Every frame is stamped with the true time of the
+/// submission it accompanies. Per-client timestamps — messages and
+/// heartbeats alike — are clamped monotone (the paper's ordered-channel
+/// assumption); a clamped message keeps its clamped timestamp for scoring.
+pub(crate) fn schedule(config: &ScenarioConfig) -> Schedule {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut deliveries = generate_messages(config, &mut rng);
+    let truth = |m: &Message| m.true_time.expect("generated messages carry true times");
+    deliveries.sort_by(|a, b| truth(a).partial_cmp(&truth(b)).expect("finite true times"));
+    let claimed = scenario_claimed_offsets(config);
+
     let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut messages: Vec<Message> = Vec::with_capacity(deliveries.len());
+    let mut clamp = |client: ClientId, ts: f64| {
+        let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
+        let ts = ts.max(floor);
+        last_ts.insert(client, ts);
+        ts
+    };
+    let mut frames = Vec::with_capacity(deliveries.len() * claimed.len());
+    let mut max_timestamp = f64::NEG_INFINITY;
     for delivery in &deliveries {
-        let true_time = delivery.true_time.expect("true time");
-        let arrival = true_time + NETWORK_DELAY;
-        // Every other client heartbeats at this instant with its (monotone)
-        // local reading of the current true time.
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
+        let t = truth(delivery);
+        for &(client, _) in &claimed {
+            if client != delivery.client {
+                let timestamp = clamp(client, t);
+                frames.push((t, WireMessage::Heartbeat { client, timestamp }));
             }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(client, ts);
-            sequencer
-                .heartbeat(client, ts, arrival)
-                .expect("registered client heartbeat");
         }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        let message = Message::with_true_time(delivery.id, delivery.client, ts, true_time);
-        messages.push(message.clone());
-        sequencer.submit(message, arrival).expect("valid submission");
-        max_undrained = max_undrained.max(sequencer.emitted().len());
-        max_tracked = max_tracked.max(sequencer.tracked_ids());
-        drain(&mut sequencer, &mut order);
+        let timestamp = clamp(delivery.client, delivery.timestamp);
+        max_timestamp = max_timestamp.max(timestamp);
+        frames.push((
+            t,
+            WireMessage::Submit {
+                id: delivery.id,
+                client: delivery.client,
+                timestamp,
+            },
+        ));
     }
-    // Close the stream: heartbeat far past every pending horizon, advance the
-    // clock past every safe-emission time, then force out stragglers.
-    let horizon = messages
-        .iter()
-        .map(|m| m.timestamp)
-        .fold(0.0f64, f64::max)
-        + 1_000.0 * config.clock_std_dev.max(1.0);
-    for &client in &client_ids {
-        sequencer
-            .heartbeat(client, horizon, horizon)
-            .expect("registered client heartbeat");
-    }
-    sequencer.tick(horizon);
-    sequencer.flush();
-    drain(&mut sequencer, &mut order);
-
-    let ras = rank_agreement_score(&order, &messages);
-    let fair_counters = sequencer.fair_order_counters();
-    let stats = sequencer.stats();
-    let estimated_delay = sequencer.mean_delay_estimate().unwrap_or(f64::NAN);
-    OnlineStreamResult {
-        ras,
-        stats,
-        batches: order.num_batches(),
-        max_undrained,
-        max_tracked_ids: max_tracked,
-        probability_queries: sequencer.registry().query_count(),
-        lazy_evals: stats.lazy_evals,
-        dense_columns_avoided: stats.dense_columns_avoided,
-        mode_switches: stats.mode_switches,
-        peak_matrix_bytes: stats.peak_matrix_bytes,
-        peak_index_bytes: stats.peak_index_bytes,
-        boundary_evals: fair_counters.boundary_evals,
-        batch_splits: fair_counters.batch_splits,
-        batch_merges: fair_counters.batch_merges,
-        full_rebuilds: sequencer.tournament().full_rebuilds(),
-        fas_local_repairs: sequencer.tournament().local_repairs(),
-        fas_exhaustive_passes: tommy_core::graph::fas::exhaustive_passes() - exhaustive_before,
-        fas_fallback_reason: sequencer.config().fas_fallback_reason(),
-        quarantines: stats.quarantines,
-        reestimations: stats.reestimations,
-        margin_fallbacks: stats.margin_fallbacks,
-        true_delay: NETWORK_DELAY,
-        estimated_delay,
-        delay_estimate_error: (estimated_delay - NETWORK_DELAY).abs(),
+    Schedule {
+        span: (
+            deliveries.first().map_or(0.0, truth),
+            deliveries.last().map_or(0.0, truth),
+        ),
+        truths: deliveries.iter().map(|m| (m.id, truth(m))).collect(),
+        claimed,
+        frames,
+        max_timestamp,
     }
 }
 
-/// The scored output of one *sharded* streaming run driven through
-/// [`ShardedSequencer`]: the same delivery schedule as
-/// [`run_online_stream`], with clients partitioned across `k` per-shard
-/// engines and the cross-shard combiner merging their batches.
-#[derive(Debug, Clone)]
-pub struct ParallelStreamResult {
-    /// RAS of the globally merged emission order against ground truth.
-    pub ras: RasScore,
-    /// The same score split into intra-shard pairs (decided by a single
-    /// engine, identical machinery to the unsharded run) and cross-shard
-    /// pairs (decided by the combiner's merge watermark) — the decomposition
-    /// that isolates what sharding costs.
-    pub partitioned: PartitionedRas,
-    /// Aggregated sequencer statistics (per-shard counters summed, combiner
-    /// counters from the wrapper; see `ShardedSequencer::stats`).
-    pub stats: OnlineStats,
-    /// Number of globally released batches over the whole run.
-    pub batches: usize,
-    /// The resolved shard count the run actually used (after `0` → auto).
-    pub shards_used: usize,
-    /// Largest number of undrained released batches ever buffered inside
-    /// the wrapper (the runner drains after every drive, so this stays O(1)).
-    pub max_undrained: usize,
+/// The far-future padding both stream closes put past the last timestamp.
+pub(crate) fn horizon_pad(config: &ScenarioConfig) -> f64 {
+    1_000.0 * config.clock_std_dev.max(1.0)
 }
 
-/// Run the sharded online sequencer over a scenario's message stream — the
-/// same delivery schedule, heartbeat discipline, monotone timestamp clamp
-/// and stream close as [`run_online_stream`], driving a [`ShardedSequencer`]
-/// with `config.shards` shards and draining after every drive.
-///
-/// With `config.shards == 1` the wrapper is a bit-identical passthrough to
-/// the single engine, so this run reproduces [`run_online_stream`]'s emitted
-/// order exactly; with more shards the emission set is identical and the
-/// cross-shard score quantifies the combiner's fairness cost.
-pub fn run_parallel_stream(config: &ScenarioConfig, p_safe: f64) -> ParallelStreamResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let raw = generate_messages(config, &mut rng);
-
-    // Deliver in true-time order.
-    let mut deliveries: Vec<Message> = raw;
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-
-    let mut seq_config = SequencerConfig::default()
+/// The online sequencer configuration of a stream run: the scenario's
+/// threshold and shard count, `p_safe`, bounded memory (no retained
+/// history) and — for defended scenarios — the defense. The wire path adds
+/// liveness on top.
+pub(crate) fn stream_config(config: &ScenarioConfig, p_safe: f64) -> SequencerConfig {
+    let seq_config = SequencerConfig::default()
         .with_threshold(config.threshold)
         .with_p_safe(p_safe)
         .with_retain_history(false)
         .with_shards(config.shards);
-    if config.defended {
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
+    if !config.defended {
+        return seq_config;
     }
-    let mut sequencer = ShardedSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
-        .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
-        .collect();
+    // Small windows so the defense reaches a verdict within the short
+    // streams the sweeps use. Residuals are measured against the
+    // sequencer's *online* per-client delay estimate, not a configured
+    // constant: the runner does not leak the delay it simulates into the
+    // defense, so defended runs stay honest when links are heterogeneous
+    // (a fixed expected delay would bias every residual by the per-link
+    // delta and mis-flag honest clients; see `tests/collusion_defense.rs`).
+    seq_config.with_defense(
+        DefenseConfig::enabled()
+            .with_window(24)
+            .with_min_samples(12)
+            .with_check_interval(4)
+            .with_expected_delay(ExpectedDelay::Online),
+    )
+}
 
-    const NETWORK_DELAY: f64 = 1.0;
-    let mut order = FairOrder::default();
-    let mut max_undrained = 0usize;
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut messages: Vec<Message> = Vec::with_capacity(deliveries.len());
-    for delivery in &deliveries {
-        let true_time = delivery.true_time.expect("true time");
-        let arrival = true_time + NETWORK_DELAY;
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
+/// How a stream schedule's frames reach the sequencer.
+#[derive(Debug, Clone, Copy)]
+pub enum Delivery<'a> {
+    /// Every frame arrives [`NETWORK_DELAY`] after it was sent, in send
+    /// order. Closes with horizon heartbeats, a tick and a flush.
+    Direct,
+    /// Every frame rides the fault-injected wire path ([`crate::faults`]);
+    /// `plans` compose with [`ScenarioConfig::fault`], and the stream
+    /// receiver recovers per `policy`.
+    Wire {
+        /// Fault plans applied on top of the scenario's own.
+        plans: &'a [FaultPlan],
+        /// The session layer's recovery policy.
+        policy: RecoveryPolicy,
+    },
+}
+
+/// The engine side of a stream run: applies delivered frames and drains
+/// emitted batches after every submission.
+pub(crate) struct Sink<E> {
+    pub(crate) engine: E,
+    truths: HashMap<MessageId, f64>,
+    order: FairOrder,
+    submitted: Vec<Message>,
+    max_undrained: usize,
+    max_tracked_ids: usize,
+}
+
+impl<E: StreamEngine> Sink<E> {
+    /// Apply one delivered frame at sequencer time `now`.
+    pub(crate) fn apply(&mut self, frame: WireMessage, now: f64) {
+        match frame {
+            WireMessage::Submit {
+                id,
+                client,
+                timestamp,
+            } => {
+                let message = Message::with_true_time(id, client, timestamp, self.truths[&id]);
+                self.submitted.push(message.clone());
+                self.engine
+                    .submit_at(message, now)
+                    .expect("valid submission");
+                self.engine.pump(now);
+                self.max_undrained = self.max_undrained.max(self.engine.undrained());
+                self.max_tracked_ids = self.max_tracked_ids.max(self.engine.tracked_ids());
+                self.drain();
             }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(client, ts);
-            sequencer
-                .heartbeat(client, ts, arrival)
-                .expect("registered client heartbeat");
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        let message = Message::with_true_time(delivery.id, delivery.client, ts, true_time);
-        messages.push(message.clone());
-        sequencer.submit(message, arrival).expect("valid submission");
-        sequencer.drive(arrival);
-        max_undrained = max_undrained.max(sequencer.emitted().len());
-        for batch in sequencer.take_emitted() {
-            order.push_batch(batch.message_ids());
+            WireMessage::Heartbeat { client, timestamp } => {
+                self.engine
+                    .heartbeat_at(client, timestamp, now)
+                    .expect("registered client heartbeat");
+            }
+            other => panic!("unexpected stream frame {other:?}"),
         }
     }
-    // Close the stream exactly as the single-engine runner does.
-    let horizon = messages
-        .iter()
-        .map(|m| m.timestamp)
-        .fold(0.0f64, f64::max)
-        + 1_000.0 * config.clock_std_dev.max(1.0);
-    for &client in &client_ids {
-        sequencer
-            .heartbeat(client, horizon, horizon)
-            .expect("registered client heartbeat");
+
+    /// Move every emitted batch into the drained order.
+    pub(crate) fn drain(&mut self) {
+        for batch in self.engine.drain() {
+            self.order.push_batch(batch.message_ids());
+        }
     }
-    sequencer.tick(horizon);
-    sequencer.flush();
-    for batch in sequencer.take_emitted() {
-        order.push_batch(batch.message_ids());
+}
+
+/// The output of one stream run, for either engine and delivery path.
+///
+/// Counters are read from the closed engine itself — `engine.stats()`,
+/// `engine.tournament()`, `engine.registry().query_count()`, … — never
+/// copied into fields here.
+#[derive(Debug)]
+pub struct StreamResult<E> {
+    /// The closed front door.
+    pub engine: E,
+    /// The drained emission order.
+    pub order: FairOrder,
+    /// Every submitted message (clamped timestamp and ground truth), in
+    /// submission order.
+    pub submitted: Vec<Message>,
+    /// Messages the workload generated; more than were submitted when a
+    /// wire policy gave up on losses.
+    pub generated: usize,
+    /// Largest number of undrained batches ever buffered inside the engine.
+    /// The runner drains after every submission, so this stays O(1)
+    /// regardless of stream length.
+    pub max_undrained: usize,
+    /// Largest number of message ids the engine tracked at any point. With
+    /// history retention off this is bounded by the pending set, not by the
+    /// stream length.
+    pub max_tracked_ids: usize,
+    /// Exhaustive superlinear greedy FAS passes over the run (the
+    /// thread-local `graph::fas::exhaustive_passes` delta, so a sharded
+    /// run's worker threads are not counted): the per-cyclic-component cost
+    /// both FAS paths share. Zero on Gaussian workloads.
+    pub fas_exhaustive_passes: u64,
+    /// Frame accounting and the delivery trace of the wire path; `None` on
+    /// the direct path.
+    pub wire: Option<WireReport>,
+}
+
+impl<E: StreamEngine> StreamResult<E> {
+    /// RAS of the emitted order against the ground truth of every submitted
+    /// message.
+    pub fn ras(&self) -> RasScore {
+        rank_agreement_score(&self.order, &self.submitted)
     }
-    let rejections = sequencer.take_rejections();
+
+    /// The engine's counters (including the session layer's, on the wire
+    /// path).
+    pub fn stats(&self) -> OnlineStats {
+        self.engine.stats()
+    }
+
+    /// The wire path's report.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a [`Delivery::Direct`] run.
+    pub fn wire(&self) -> &WireReport {
+        self.wire.as_ref().expect("a wire-delivery run")
+    }
+}
+
+impl StreamResult<ShardedSequencer> {
+    /// The RAS split into intra-shard pairs (decided by a single engine)
+    /// and cross-shard pairs (decided by the combiner's merge watermark) —
+    /// the decomposition that isolates what sharding costs.
+    pub fn partitioned_ras(&self) -> PartitionedRas {
+        partitioned_rank_agreement_score(&self.order, &self.submitted, |client| {
+            self.engine.shard_of(client).expect("registered client")
+        })
+    }
+}
+
+/// Run a scenario's stream through an online engine `E` over `delivery`:
+/// an [`OnlineSequencer`](tommy_core::sequencer::OnlineSequencer), or a
+/// [`ShardedSequencer`] with [`ScenarioConfig::shards`] shards.
+///
+/// The schedule, configuration and engine side are shared; each delivery
+/// path keeps its own stream close. With one shard the sharded wrapper is a
+/// bit-identical passthrough, so both engines emit the same order.
+pub fn run_stream<E: StreamEngine>(
+    config: &ScenarioConfig,
+    p_safe: f64,
+    delivery: Delivery,
+) -> StreamResult<E> {
+    let mut schedule = schedule(config);
+    let exhaustive_before = tommy_core::graph::fas::exhaustive_passes();
+    let mut seq_config = stream_config(config, p_safe);
+    if let Delivery::Wire { .. } = delivery {
+        seq_config = seq_config.with_liveness(LivenessConfig::enabled(FAULT_STALENESS_DEADLINE));
+    }
+    let mut engine = E::from_config(seq_config);
+    for (client, dist) in &schedule.claimed {
+        engine.register(*client, dist.clone());
+    }
+    let generated = schedule.truths.len();
+    let mut sink = Sink {
+        engine,
+        truths: std::mem::take(&mut schedule.truths),
+        order: FairOrder::default(),
+        submitted: Vec::with_capacity(generated),
+        max_undrained: 0,
+        max_tracked_ids: 0,
+    };
+    let wire = match delivery {
+        Delivery::Direct => {
+            deliver_direct(config, schedule, &mut sink);
+            None
+        }
+        Delivery::Wire { plans, policy } => Some(crate::faults::deliver_wire(
+            config, schedule, plans, policy, &mut sink,
+        )),
+    };
+    let rejections = sink.engine.take_rejections();
     assert!(
         rejections.is_empty(),
         "monotone-clamped schedule must not be rejected: {rejections:?}"
     );
-
-    let ras = rank_agreement_score(&order, &messages);
-    let partitioned = partitioned_rank_agreement_score(&order, &messages, |client| {
-        sequencer.shard_of(client).expect("registered client")
-    });
-    ParallelStreamResult {
-        ras,
-        partitioned,
-        stats: sequencer.stats(),
-        batches: order.num_batches(),
-        shards_used: sequencer.shard_count(),
-        max_undrained,
+    StreamResult {
+        engine: sink.engine,
+        order: sink.order,
+        submitted: sink.submitted,
+        generated,
+        max_undrained: sink.max_undrained,
+        max_tracked_ids: sink.max_tracked_ids,
+        fas_exhaustive_passes: tommy_core::graph::fas::exhaustive_passes() - exhaustive_before,
+        wire,
     }
+}
+
+/// The direct path: every frame arrives [`NETWORK_DELAY`] after it was
+/// sent. The close heartbeats every client far past every pending horizon,
+/// advances the clock past every safe-emission time, then forces out the
+/// stragglers.
+fn deliver_direct<E: StreamEngine>(
+    config: &ScenarioConfig,
+    schedule: Schedule,
+    sink: &mut Sink<E>,
+) {
+    let clients: Vec<ClientId> = schedule.clients().collect();
+    let horizon = schedule.max_timestamp.max(0.0) + horizon_pad(config);
+    for (sent, frame) in schedule.frames {
+        sink.apply(frame, sent + NETWORK_DELAY);
+    }
+    for client in clients {
+        sink.engine
+            .heartbeat_at(client, horizon, horizon)
+            .expect("registered client heartbeat");
+    }
+    sink.engine.tick_at(horizon);
+    sink.engine.flush_all();
+    sink.drain();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tommy_core::sequencer::online::OnlineSequencer;
+
+    fn online_stream(config: &ScenarioConfig, p_safe: f64) -> StreamResult<OnlineSequencer> {
+        run_stream(config, p_safe, Delivery::Direct)
+    }
+
+    fn parallel_stream(config: &ScenarioConfig, p_safe: f64) -> StreamResult<ShardedSequencer> {
+        run_stream(config, p_safe, Delivery::Direct)
+    }
 
     fn small(sigma: f64, gap: f64) -> ScenarioConfig {
         ScenarioConfig::default()
@@ -612,7 +584,11 @@ mod tests {
     fn truetime_never_scores_negative() {
         for sigma in [5.0, 20.0, 80.0] {
             let result = run_offline_comparison(&small(sigma, 0.5));
-            assert!(result.truetime.score() >= 0, "sigma {sigma}: {:?}", result.truetime);
+            assert!(
+                result.truetime.score() >= 0,
+                "sigma {sigma}: {:?}",
+                result.truetime
+            );
         }
     }
 
@@ -640,7 +616,11 @@ mod tests {
         let serial = run_offline_comparison(&small(25.0, 1.0));
         for threads in [0usize, 2, 4] {
             let parallel = run_offline_comparison(&small(25.0, 1.0).with_parallelism(threads));
-            assert_eq!(serial.tommy.score(), parallel.tommy.score(), "threads {threads}");
+            assert_eq!(
+                serial.tommy.score(),
+                parallel.tommy.score(),
+                "threads {threads}"
+            );
             assert_eq!(serial.tommy_batches.batches, parallel.tommy_batches.batches);
         }
     }
@@ -656,28 +636,28 @@ mod tests {
     #[test]
     fn online_stream_sequences_every_message() {
         let cfg = small(3.0, 5.0);
-        let result = run_online_stream(&cfg, 0.99);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
-        assert_eq!(result.ras.pairs(), cfg.messages * (cfg.messages - 1) / 2);
-        assert!(result.batches >= 1);
+        let result = online_stream(&cfg, 0.99);
+        assert_eq!(result.stats().messages_emitted, cfg.messages);
+        assert_eq!(result.ras().pairs(), cfg.messages * (cfg.messages - 1) / 2);
+        assert!(result.order.num_batches() >= 1);
         // Arrivals pay O(pending) evaluations each and nothing else does, so
         // the run's total is bounded by max_pending per message.
-        assert!(result.probability_queries > 0);
+        assert!(result.engine.registry().query_count() > 0);
         assert!(
-            result.probability_queries
-                <= (cfg.messages * result.stats.max_pending) as u64,
+            result.engine.registry().query_count()
+                <= (cfg.messages * result.stats().max_pending) as u64,
             "queries {} vs bound {}",
-            result.probability_queries,
-            cfg.messages * result.stats.max_pending
+            result.engine.registry().query_count(),
+            cfg.messages * result.stats().max_pending
         );
         // The batch-boundary engine re-evaluates at most two adjacencies per
         // arrival plus one seam per removed run on emission (each removed
         // message opens at most one run).
-        assert!(result.boundary_evals > 0);
+        assert!(result.engine.fair_order_counters().boundary_evals > 0);
         assert!(
-            result.boundary_evals <= (3 * cfg.messages) as u64,
+            result.engine.fair_order_counters().boundary_evals <= (3 * cfg.messages) as u64,
             "boundary evals {} vs bound {}",
-            result.boundary_evals,
+            result.engine.fair_order_counters().boundary_evals,
             3 * cfg.messages
         );
     }
@@ -685,22 +665,22 @@ mod tests {
     #[test]
     fn online_stream_memory_stays_bounded_by_pending_set() {
         let cfg = small(2.0, 10.0);
-        let result = run_online_stream(&cfg, 0.9);
+        let result = online_stream(&cfg, 0.9);
         // Draining after every event keeps the output buffer tiny and the
         // id-tracking proportional to max_pending, not to the stream length.
         assert!(
-            result.max_undrained <= result.stats.max_pending + 1,
+            result.max_undrained <= result.stats().max_pending + 1,
             "undrained {} vs max pending {}",
             result.max_undrained,
-            result.stats.max_pending
+            result.stats().max_pending
         );
         assert!(
-            result.max_tracked_ids <= result.stats.max_pending + 1,
+            result.max_tracked_ids <= result.stats().max_pending + 1,
             "tracked {} vs max pending {}",
             result.max_tracked_ids,
-            result.stats.max_pending
+            result.stats().max_pending
         );
-        assert!(result.stats.max_pending < cfg.messages);
+        assert!(result.stats().max_pending < cfg.messages);
     }
 
     /// The sparse fast path engages automatically on an all-Gaussian census
@@ -709,26 +689,41 @@ mod tests {
     /// fast-path counters pinned at zero.
     #[test]
     fn mode_split_matches_the_census() {
-        let gaussian = run_online_stream(&small(3.0, 5.0), 0.99);
-        assert_eq!(gaussian.stats.messages_emitted, 80);
-        assert_eq!(gaussian.dense_columns_avoided, 80, "{gaussian:?}");
-        assert!(gaussian.lazy_evals > 0, "{gaussian:?}");
+        let gaussian = online_stream(&small(3.0, 5.0), 0.99);
+        assert_eq!(gaussian.stats().messages_emitted, 80);
         assert_eq!(
-            gaussian.peak_matrix_bytes, 0,
+            gaussian.stats().dense_columns_avoided,
+            80,
+            "{:?}",
+            gaussian.stats()
+        );
+        assert!(gaussian.stats().lazy_evals > 0, "{:?}", gaussian.stats());
+        assert_eq!(
+            gaussian.stats().peak_matrix_bytes,
+            0,
             "an all-Gaussian run must never allocate the dense matrix"
         );
-        assert!(gaussian.peak_index_bytes > 0, "{gaussian:?}");
-        assert_eq!(gaussian.mode_switches, 0, "{gaussian:?}");
+        assert!(
+            gaussian.stats().peak_index_bytes > 0,
+            "{:?}",
+            gaussian.stats()
+        );
+        assert_eq!(gaussian.stats().mode_switches, 0, "{:?}", gaussian.stats());
 
-        let cyclic = run_online_stream(&small(2.0, 1.0).with_cyclic_fraction(0.3), 0.99);
-        assert_eq!(cyclic.lazy_evals, 0, "{cyclic:?}");
-        assert_eq!(cyclic.dense_columns_avoided, 0, "{cyclic:?}");
-        assert!(cyclic.peak_matrix_bytes > 0, "{cyclic:?}");
-        assert_eq!(cyclic.peak_index_bytes, 0, "{cyclic:?}");
+        let cyclic = online_stream(&small(2.0, 1.0).with_cyclic_fraction(0.3), 0.99);
+        assert_eq!(cyclic.stats().lazy_evals, 0, "{:?}", cyclic.stats());
+        assert_eq!(
+            cyclic.stats().dense_columns_avoided,
+            0,
+            "{:?}",
+            cyclic.stats()
+        );
+        assert!(cyclic.stats().peak_matrix_bytes > 0, "{:?}", cyclic.stats());
+        assert_eq!(cyclic.stats().peak_index_bytes, 0, "{:?}", cyclic.stats());
         // The census settles to dense on the first dice-client registration
         // (pending is still empty, so the switch is free) and never changes
         // again mid-stream.
-        assert_eq!(cyclic.mode_switches, 1, "{cyclic:?}");
+        assert_eq!(cyclic.stats().mode_switches, 1, "{:?}", cyclic.stats());
     }
 
     /// Satellite regression: a pure-Gaussian stream performs **zero** FAS
@@ -736,11 +731,22 @@ mod tests {
     /// rebuilds (Appendix A: Gaussian offsets are always transitive).
     #[test]
     fn gaussian_stream_performs_zero_fas_work() {
-        let result = run_online_stream(&small(20.0, 1.0), 0.99);
-        assert!(result.stats.messages_emitted > 0);
-        assert_eq!(result.fas_local_repairs, 0, "no SCC repairs on Gaussian streams");
-        assert_eq!(result.fas_exhaustive_passes, 0, "no exhaustive passes on Gaussian streams");
-        assert_eq!(result.full_rebuilds, 0, "no rebuilds on Gaussian streams");
+        let result = online_stream(&small(20.0, 1.0), 0.99);
+        assert!(result.stats().messages_emitted > 0);
+        assert_eq!(
+            result.engine.tournament().local_repairs(),
+            0,
+            "no SCC repairs on Gaussian streams"
+        );
+        assert_eq!(
+            result.fas_exhaustive_passes, 0,
+            "no exhaustive passes on Gaussian streams"
+        );
+        assert_eq!(
+            result.engine.tournament().full_rebuilds(),
+            0,
+            "no rebuilds on Gaussian streams"
+        );
     }
 
     /// The tentpole behaviour: Condorcet bursts force tournament cycles,
@@ -749,15 +755,17 @@ mod tests {
     #[test]
     fn cyclic_scenario_repairs_locally_without_full_rebuilds() {
         let cfg = small(2.0, 1.0).with_cyclic_fraction(0.3);
-        let result = run_online_stream(&cfg, 0.99);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        let result = online_stream(&cfg, 0.99);
+        assert_eq!(result.stats().messages_emitted, cfg.messages);
         assert!(
-            result.fas_local_repairs > 0,
-            "bursts must trigger local repairs: {result:?}"
+            result.engine.tournament().local_repairs() > 0,
+            "bursts must trigger local repairs: {:?}",
+            result.stats()
         );
         assert!(result.fas_exhaustive_passes > 0);
         assert_eq!(
-            result.full_rebuilds, 0,
+            result.engine.tournament().full_rebuilds(),
+            0,
             "a cyclic arrival must no longer be an automatic full rebuild"
         );
     }
@@ -773,7 +781,11 @@ mod tests {
         assert!(run_offline_comparison(&small(5.0, 1.0)).transitive);
     }
 
-    fn adversarial(sigma: f64, family: tommy_workload::AttackFamily, intensity: f64) -> ScenarioConfig {
+    fn adversarial(
+        sigma: f64,
+        family: tommy_workload::AttackFamily,
+        intensity: f64,
+    ) -> ScenarioConfig {
         use tommy_workload::AttackPlan;
         ScenarioConfig::default()
             .with_size(6, 240)
@@ -798,10 +810,10 @@ mod tests {
                 generate_messages(&cfg, &mut rng_b),
                 "{family:?} stream must be seed-stable"
             );
-            let a = run_online_stream(&cfg, 0.99);
-            let b = run_online_stream(&cfg, 0.99);
-            assert_eq!(a.ras.score(), b.ras.score(), "{family:?}");
-            assert_eq!(a.stats, b.stats, "{family:?}");
+            let a = online_stream(&cfg, 0.99);
+            let b = online_stream(&cfg, 0.99);
+            assert_eq!(a.ras().score(), b.ras().score(), "{family:?}");
+            assert_eq!(a.stats(), b.stats(), "{family:?}");
         }
     }
 
@@ -818,7 +830,10 @@ mod tests {
             generate_messages(&honest, &mut rng_a),
             generate_messages(&attacked, &mut rng_b)
         );
-        assert_eq!(scenario_claimed_offsets(&attacked), scenario_offsets(&attacked));
+        assert_eq!(
+            scenario_claimed_offsets(&attacked),
+            scenario_offsets(&attacked)
+        );
     }
 
     /// The defense core loop: a misreporting client (σ claimed far too
@@ -827,20 +842,25 @@ mod tests {
     fn defended_stream_quarantines_misreporters() {
         use tommy_workload::AttackFamily;
         let cfg = adversarial(3.0, AttackFamily::Misreport, 0.6);
-        let undefended = run_online_stream(&cfg, 0.99);
-        assert_eq!(undefended.quarantines, 0, "defense off ⇒ no quarantines");
-        assert_eq!(undefended.margin_fallbacks, 0);
+        let undefended = online_stream(&cfg, 0.99);
+        assert_eq!(
+            undefended.stats().quarantines,
+            0,
+            "defense off ⇒ no quarantines"
+        );
+        assert_eq!(undefended.stats().margin_fallbacks, 0);
 
-        let defended = run_online_stream(&cfg.with_defended(true), 0.99);
+        let defended = online_stream(&cfg.with_defended(true), 0.99);
         assert!(
-            defended.quarantines >= 1,
-            "the misreporter must be quarantined: {defended:?}"
+            defended.stats().quarantines >= 1,
+            "the misreporter must be quarantined: {:?}",
+            defended.stats()
         );
         assert!(
-            defended.margin_fallbacks > 0,
+            defended.stats().margin_fallbacks > 0,
             "post-quarantine messages ride the fallback margins"
         );
-        assert_eq!(defended.stats.messages_emitted, cfg.messages);
+        assert_eq!(defended.stats().messages_emitted, cfg.messages);
     }
 
     /// An honest defended stream raises no alarms (no false positives on
@@ -853,11 +873,11 @@ mod tests {
             .with_gap(8.0)
             .with_seed(21)
             .with_defended(true);
-        let result = run_online_stream(&cfg, 0.99);
-        assert_eq!(result.quarantines, 0, "{result:?}");
-        assert_eq!(result.reestimations, 0, "{result:?}");
-        assert_eq!(result.margin_fallbacks, 0);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        let result = online_stream(&cfg, 0.99);
+        assert_eq!(result.stats().quarantines, 0, "{:?}", result.stats());
+        assert_eq!(result.stats().reestimations, 0, "{:?}", result.stats());
+        assert_eq!(result.stats().margin_fallbacks, 0);
+        assert_eq!(result.stats().messages_emitted, cfg.messages);
     }
 
     /// Mid-stream clock drift on a previously validated client triggers
@@ -866,20 +886,21 @@ mod tests {
     fn defended_stream_reestimates_drifting_clients() {
         use tommy_workload::AttackFamily;
         let cfg = adversarial(3.0, AttackFamily::Drift, 0.8).with_defended(true);
-        let result = run_online_stream(&cfg, 0.99);
+        let result = online_stream(&cfg, 0.99);
         assert!(
-            result.reestimations >= 1,
-            "drift must trigger re-estimation: {result:?}"
+            result.stats().reestimations >= 1,
+            "drift must trigger re-estimation: {:?}",
+            result.stats()
         );
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        assert_eq!(result.stats().messages_emitted, cfg.messages);
     }
 
     /// Satellite 1: the FAS fallback reason is echoed on the stream result
     /// (`None` here — the default config keeps the incremental engine on).
     #[test]
     fn online_result_echoes_fas_fallback_reason() {
-        let result = run_online_stream(&small(3.0, 5.0), 0.99);
-        assert_eq!(result.fas_fallback_reason, None);
+        let result = online_stream(&small(3.0, 5.0), 0.99);
+        assert_eq!(result.engine.config().fas_fallback_reason(), None);
     }
 
     /// Satellite: the runner estimates the delivery delay from residuals
@@ -888,20 +909,19 @@ mod tests {
     /// truth to within the offset noise.
     #[test]
     fn online_stream_estimates_the_delivery_delay() {
-        let exact = run_online_stream(&small(0.0, 5.0), 0.99);
-        assert_eq!(exact.true_delay, 1.0);
+        let estimate =
+            |r: &StreamResult<OnlineSequencer>| r.engine.mean_delay_estimate().unwrap_or(f64::NAN);
+        let exact = estimate(&online_stream(&small(0.0, 5.0), 0.99));
+        assert_eq!(NETWORK_DELAY, 1.0);
         assert!(
-            exact.delay_estimate_error < 1e-9,
-            "perfect clocks ⇒ exact delay estimate, got {}",
-            exact.estimated_delay
+            (exact - NETWORK_DELAY).abs() < 1e-9,
+            "perfect clocks ⇒ exact delay estimate, got {exact}"
         );
-        let noisy = run_online_stream(&small(2.0, 5.0), 0.99);
-        assert!(noisy.estimated_delay.is_finite());
+        let noisy = estimate(&online_stream(&small(2.0, 5.0), 0.99));
+        assert!(noisy.is_finite());
         assert!(
-            noisy.delay_estimate_error < 2.0,
-            "estimate {} strays too far from the true delay {}",
-            noisy.estimated_delay,
-            noisy.true_delay
+            (noisy - NETWORK_DELAY).abs() < 2.0,
+            "estimate {noisy} strays too far from the true delay {NETWORK_DELAY}"
         );
     }
 
@@ -911,18 +931,24 @@ mod tests {
     #[test]
     fn parallel_stream_with_one_shard_matches_single_engine() {
         let cfg = small(3.0, 5.0);
-        let single = run_online_stream(&cfg, 0.99);
-        let parallel = run_parallel_stream(&cfg.with_shards(1), 0.99);
-        assert_eq!(parallel.shards_used, 1);
-        assert_eq!(parallel.ras.score(), single.ras.score());
-        assert_eq!(parallel.ras.pairs(), single.ras.pairs());
-        assert_eq!(parallel.batches, single.batches);
-        assert_eq!(parallel.stats.messages_emitted, single.stats.messages_emitted);
-        assert_eq!(parallel.stats.shard_merges, 0);
-        assert_eq!(parallel.stats.cross_shard_evals, 0);
+        let single = online_stream(&cfg, 0.99);
+        let parallel = parallel_stream(&cfg.with_shards(1), 0.99);
+        assert_eq!(parallel.engine.shard_count(), 1);
+        assert_eq!(parallel.ras().score(), single.ras().score());
+        assert_eq!(parallel.ras().pairs(), single.ras().pairs());
+        assert_eq!(parallel.order.num_batches(), single.order.num_batches());
+        assert_eq!(
+            parallel.stats().messages_emitted,
+            single.stats().messages_emitted
+        );
+        assert_eq!(parallel.stats().shard_merges, 0);
+        assert_eq!(parallel.stats().cross_shard_evals, 0);
         // One shard ⇒ every pair is intra-shard.
-        assert_eq!(parallel.partitioned.cross.pairs(), 0);
-        assert_eq!(parallel.partitioned.intra.score(), parallel.ras.score());
+        assert_eq!(parallel.partitioned_ras().cross.pairs(), 0);
+        assert_eq!(
+            parallel.partitioned_ras().intra.score(),
+            parallel.ras().score()
+        );
     }
 
     /// Multi-shard runs emit the complete message set through the combiner,
@@ -932,15 +958,19 @@ mod tests {
     fn parallel_stream_with_multiple_shards_emits_everything() {
         let cfg = small(3.0, 5.0);
         for shards in [2usize, 4] {
-            let result = run_parallel_stream(&cfg.with_shards(shards), 0.99);
-            assert_eq!(result.shards_used, shards);
-            assert_eq!(result.stats.messages_emitted, cfg.messages, "k={shards}");
-            assert!(result.stats.shard_merges > 0, "k={shards}: {result:?}");
-            assert!(result.stats.cross_shard_evals > 0, "k={shards}");
-            assert!(result.partitioned.cross.pairs() > 0, "k={shards}");
+            let result = parallel_stream(&cfg.with_shards(shards), 0.99);
+            assert_eq!(result.engine.shard_count(), shards);
+            assert_eq!(result.stats().messages_emitted, cfg.messages, "k={shards}");
+            assert!(
+                result.stats().shard_merges > 0,
+                "k={shards}: {:?}",
+                result.stats()
+            );
+            assert!(result.stats().cross_shard_evals > 0, "k={shards}");
+            assert!(result.partitioned_ras().cross.pairs() > 0, "k={shards}");
             assert_eq!(
-                result.partitioned.total().score(),
-                result.ras.score(),
+                result.partitioned_ras().total().score(),
+                result.ras().score(),
                 "k={shards}: intra + cross must sum to the total"
             );
         }
@@ -951,22 +981,18 @@ mod tests {
     #[test]
     fn parallel_stream_is_seed_stable() {
         let cfg = small(3.0, 5.0).with_shards(4);
-        let a = run_parallel_stream(&cfg, 0.99);
-        let b = run_parallel_stream(&cfg, 0.99);
-        assert_eq!(a.ras.score(), b.ras.score());
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.batches, b.batches);
+        let a = parallel_stream(&cfg, 0.99);
+        let b = parallel_stream(&cfg, 0.99);
+        assert_eq!(a.ras().score(), b.ras().score());
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.order.num_batches(), b.order.num_batches());
     }
 
     #[test]
     fn online_stream_with_wide_gaps_is_accurate() {
         // Gaps much larger than clock error: the emitted order should agree
         // with ground truth on nearly every pair.
-        let result = run_online_stream(&small(1.0, 50.0), 0.999);
-        assert!(
-            result.ras.normalized() > 0.9,
-            "ras = {:?}",
-            result.ras
-        );
+        let result = online_stream(&small(1.0, 50.0), 0.999);
+        assert!(result.ras().normalized() > 0.9, "ras = {:?}", result.ras());
     }
 }

@@ -43,13 +43,13 @@ pub struct ScenarioConfig {
     /// (`tommy_core::defense`): residual cross-checks, quarantine onto
     /// conservative fallback margins, and drift-triggered re-estimation.
     pub defended: bool,
-    /// Delivery-fault plan applied by the fault-injected streaming runner
-    /// (`crate::faults::run_fault_stream`) — `None` (the default) is the
+    /// Delivery-fault plan applied by the stream runner's wire path
+    /// (`crate::runner::Delivery::Wire`) — `None` (the default) is the
     /// reliable-network setting. Composes with any extra plans passed to the
     /// runner; fault decisions are pure hashes, so seeded scenarios stay
     /// reproducible under injected faults.
     pub fault: Option<FaultPlan>,
-    /// Spread of the per-client link delays simulated by the fault runner:
+    /// Spread of the per-client link delays simulated by the wire path:
     /// each client's one-way delay is the base delay plus a deterministic
     /// node-keyed offset uniform in `[0, spread)`
     /// (`tommy_netsim::link_delay`). `0.0` (the default) is the homogeneous
@@ -57,8 +57,8 @@ pub struct ScenarioConfig {
     /// non-zero spread models links the sequencer does not know a priori —
     /// the setting `ExpectedDelay::Online` exists for.
     pub link_delay_spread: f64,
-    /// Shard count for the parallel streaming runner
-    /// (`crate::runner::run_parallel_stream`): `1` (the default) drives the
+    /// Shard count of a stream run's sequencer
+    /// (`crate::runner::stream_config`): `1` (the default) drives the
     /// single-engine path through the sharded wrapper unchanged, `0`
     /// auto-detects from available parallelism, `k > 1` partitions clients
     /// round-robin across `k` per-shard engines merged by the cross-shard

@@ -14,7 +14,6 @@
 //!   trigger (market-volatility broadcast, ad-auction request, drop);
 //! * [`uniform`] — evenly spaced generation with a configurable inter-message
 //!   gap (the second axis of Figure 5);
-//! * [`poisson`] — Poisson arrivals per client, for steady-state experiments;
 //! * [`population`] — per-client clock-error populations (homogeneous,
 //!   heterogeneous, multi-region);
 //! * [`tagging`] — the §4 tagging step: turn generation events into
@@ -30,9 +29,9 @@
 //!   probabilities are *not* transitive, exercising the feedback-arc-set
 //!   machinery that Gaussian workloads (Appendix A) never reach;
 //! * [`testkit`] — shared test scaffolding for the integration suites:
-//!   census builders, paired differential engines, the [`testkit::StreamEngine`]
-//!   driving surface over both the single-engine and sharded sequencers,
-//!   lockstep drain/compare helpers and the common stream-close sequence.
+//!   census builders, paired differential engines, lockstep drain/compare
+//!   helpers over either online engine, and the common stream-close
+//!   sequence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +40,6 @@ pub mod adversarial;
 pub mod burst;
 pub mod events;
 pub mod intransitive;
-pub mod poisson;
 pub mod population;
 pub mod tagging;
 pub mod testkit;
@@ -51,7 +49,6 @@ pub use adversarial::{AttackFamily, AttackPlan};
 pub use burst::BurstWorkload;
 pub use events::GenerationEvent;
 pub use intransitive::{condorcet_offsets, IntransitiveWorkload};
-pub use poisson::PoissonWorkload;
 pub use population::ClockPopulation;
 pub use tagging::tag_messages;
 pub use uniform::UniformWorkload;

@@ -8,7 +8,7 @@
 //! before` relation, tournament ordering, threshold batching, offline and
 //! online sequencing), every substrate it needs (statistics/FFT, clock and
 //! clock-synchronization models, a discrete-event network simulator, a wire
-//! protocol, an async TCP deployment), the baselines it compares against
+//! protocol with a sequenced session layer), the baselines it compares against
 //! (FIFO, WaitsForOne, TrueTime), and the experiment/benchmark harness that
 //! regenerates the paper's evaluation.
 //!
@@ -52,8 +52,6 @@ pub use tommy_metrics as metrics;
 pub use tommy_netsim as netsim;
 pub use tommy_sim as sim;
 pub use tommy_stats as stats;
-#[cfg(feature = "transport")]
-pub use tommy_transport as transport;
 pub use tommy_wire as wire;
 pub use tommy_workload as workload;
 

@@ -19,10 +19,9 @@
 //!    stream still fully sequenced.
 
 use tommy_core::checker::FaultSpec;
-use tommy_core::{ClientId, MessageId};
+use tommy_core::{ClientId, MessageId, OnlineSequencer};
 use tommy_netsim::{FaultFamily, FaultPlan};
-use tommy_sim::faults::run_fault_stream;
-use tommy_sim::ScenarioConfig;
+use tommy_sim::{run_stream, Delivery, ScenarioConfig, StreamResult};
 use tommy_wire::RecoveryPolicy;
 use tommy_workload::testkit::model_spec as spec;
 
@@ -93,6 +92,11 @@ fn stream_config() -> ScenarioConfig {
         .with_seed(21)
 }
 
+/// Stream [`stream_config`] through the fault-injected wire path.
+fn wire_stream(plans: &[FaultPlan], policy: RecoveryPolicy) -> StreamResult<OnlineSequencer> {
+    run_stream(&stream_config(), 0.99, Delivery::Wire { plans, policy })
+}
+
 /// Satellite: same seed and plan produce bit-identical delivery traces and
 /// batch sequences, for a composed loss + reorder injector.
 #[test]
@@ -101,25 +105,25 @@ fn fault_injection_is_deterministic_end_to_end() {
         FaultPlan::new(FaultFamily::Loss, 0.15).with_seed(7),
         FaultPlan::new(FaultFamily::Reorder, 0.8).with_scale(4.0),
     ];
-    let a = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
-    let b = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
-    assert_eq!(a.trace, b.trace, "delivery traces must be bit-identical");
-    assert_eq!(a.batches, b.batches, "batch sequences must be bit-identical");
-    assert_eq!(a.stats, b.stats);
+    let a = wire_stream(&plans, RETRANSMIT);
+    let b = wire_stream(&plans, RETRANSMIT);
+    assert_eq!(a.wire().trace, b.wire().trace, "delivery traces must be bit-identical");
+    assert_eq!(a.order, b.order, "batch sequences must be bit-identical");
+    assert_eq!(a.stats(), b.stats());
 }
 
 /// Satellite: a zero-intensity plan of every family is indistinguishable
 /// from the fault-free control.
 #[test]
 fn zero_intensity_equals_fault_free_for_every_family() {
-    let control = run_fault_stream(&stream_config(), &[], RecoveryPolicy::Halt, 0.99);
-    assert_eq!(control.frames_dropped, 0);
+    let control = wire_stream(&[], RecoveryPolicy::Halt);
+    assert_eq!(control.wire().frames_dropped, 0);
     for family in FaultFamily::ALL {
         let plan = FaultPlan::new(family, 0.0);
-        let faulted = run_fault_stream(&stream_config(), &[plan], RecoveryPolicy::Halt, 0.99);
-        assert_eq!(control.trace, faulted.trace, "{family:?}");
-        assert_eq!(control.batches, faulted.batches, "{family:?}");
-        assert_eq!(control.stats, faulted.stats, "{family:?}");
+        let faulted = wire_stream(&[plan], RecoveryPolicy::Halt);
+        assert_eq!(control.wire().trace, faulted.wire().trace, "{family:?}");
+        assert_eq!(control.order, faulted.order, "{family:?}");
+        assert_eq!(control.stats(), faulted.stats(), "{family:?}");
     }
 }
 
@@ -133,24 +137,24 @@ fn twenty_percent_loss_with_reorder_loses_and_duplicates_nothing() {
         FaultPlan::new(FaultFamily::Loss, 0.2),
         FaultPlan::new(FaultFamily::Reorder, 1.0).with_scale(4.0),
     ];
-    let result = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
-    assert!(result.frames_dropped > 0, "the plan must actually drop frames");
-    assert!(result.stats.gaps_detected > 0);
-    assert!(result.stats.retransmit_requests > 0);
+    let result = wire_stream(&plans, RETRANSMIT);
+    assert!(result.wire().frames_dropped > 0, "the plan must actually drop frames");
+    assert!(result.stats().gaps_detected > 0);
+    assert!(result.stats().retransmit_requests > 0);
     assert_eq!(
-        result.submitted, result.generated,
+        result.submitted.len(), result.generated,
         "retransmission recovers every loss"
     );
     assert_eq!(
-        result.stats.messages_emitted, result.generated,
+        result.stats().messages_emitted, result.generated,
         "everything submitted is emitted"
     );
-    let emitted: Vec<MessageId> = result.batches.iter().flatten().copied().collect();
+    let emitted: Vec<MessageId> = result.order.flatten();
     let mut unique = emitted.clone();
     unique.sort();
     unique.dedup();
     assert_eq!(emitted.len(), unique.len(), "no duplicate emissions");
     assert_eq!(emitted.len(), result.generated);
     // The trace audits the losses the recovery healed.
-    assert_eq!(result.trace.drop_count(), result.frames_dropped);
+    assert_eq!(result.wire().trace.drop_count(), result.wire().frames_dropped);
 }

@@ -367,6 +367,17 @@ fn assert_equivalent(
         assert_eq!(batch.rank, i, "{ctx}: ranks must be dense and ascending");
     }
 
+    // The released emission clock never runs backwards.
+    for pair in sharded.batches.windows(2) {
+        assert!(
+            pair[1].emitted_at >= pair[0].emitted_at,
+            "{ctx}: batch {} emitted at {} after {}",
+            pair[1].rank,
+            pair[1].emitted_at,
+            pair[0].emitted_at
+        );
+    }
+
     // Per-client emission monotonicity.
     let mut last: HashMap<ClientId, f64> = HashMap::new();
     for batch in &sharded.batches {
